@@ -442,3 +442,57 @@ fn live_audio_churn_survives_roundtrip() {
         "audio decode must match the software codec"
     );
 }
+
+/// Supervisor rollback restores a checkpoint into the same live system,
+/// whose DRAM has since been written past the checkpoint's content. The
+/// restore must clear everything the checkpoint holds as zero, up to the
+/// live system's written extent, and then replay the uninterrupted run.
+#[test]
+fn restore_into_used_system_replays_uninterrupted_run() {
+    let bs = encode_test_stream(176, 144, 4, GopConfig { n: 12, m: 3 }, 27);
+    let mut dec = build_decode_system(EclipseConfig::default(), bs.clone());
+    let total = dec.system.run(200_000_000);
+    assert_eq!(total.outcome, RunOutcome::AllFinished);
+    let total = total.cycles;
+
+    let mut dec_ref = build_decode_system(EclipseConfig::default(), bs.clone());
+    assert!(dec_ref.system.sys.run_until(total / 2).is_none());
+    let hash_at_save = dec_ref.system.sys.state_hash();
+    let bytes = dec_ref.system.sys.save();
+    let (tail_ref, digest_ref) = finish_with_hashes(&mut dec_ref, total / 16);
+    let frames_ref = dec_ref.system.display_frames("dec0").unwrap();
+
+    // Extent of the checkpoint's DRAM content, as a fresh build sees it.
+    let mut fresh = build_decode_system(EclipseConfig::default(), bs);
+    fresh.system.sys.restore(&bytes).unwrap();
+    let content_extent = fresh.system.sys.dram().extent();
+
+    // `dec` ran to completion, writing past the checkpoint's content;
+    // also scribble on the very top of DRAM, which sets the written
+    // extent to the full capacity.
+    assert!(dec.system.sys.dram().extent() > content_extent);
+    let size = dec.system.sys.dram().config().size;
+    dec.system.sys.dram_mut().write(size - 4, &[0xA5; 4]);
+    assert_eq!(dec.system.sys.dram().extent(), size as usize);
+
+    dec.system.sys.restore(&bytes).unwrap();
+    assert_eq!(dec.system.sys.state_hash(), hash_at_save);
+    assert_eq!(dec.system.sys.dram().extent(), content_extent);
+    // The hash covers only bytes below the extent: compare the whole
+    // DRAM with the fresh restore, so nothing above it was left behind.
+    let (mut a, mut b) = (vec![0u8; 1 << 16], vec![0u8; 1 << 16]);
+    for addr in (0..size).step_by(a.len()) {
+        dec.system.sys.dram_mut().read(addr, &mut a);
+        fresh.system.sys.dram_mut().read(addr, &mut b);
+        assert!(a == b, "DRAM differs from a fresh restore at {addr:#x}");
+    }
+    let (tail, digest) = finish_with_hashes(&mut dec, total / 16);
+    let frames = dec.system.display_frames("dec0").unwrap();
+
+    assert_eq!(tail, tail_ref, "state-hash tails diverged after restore");
+    assert_eq!(digest, digest_ref);
+    assert_eq!(
+        frames, frames_ref,
+        "restored decode produced different frames"
+    );
+}

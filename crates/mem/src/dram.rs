@@ -77,6 +77,10 @@ pub struct DramStats {
 pub struct Dram {
     cfg: DramConfig,
     data: Vec<u8>,
+    /// End of the highest byte ever written; every byte of `data` at or
+    /// above it is zero. Host-side bookkeeping that lets checkpoints
+    /// skip the untouched tail: it is neither saved nor hashed.
+    extent: usize,
     open_rows: Vec<Option<u32>>,
     next_free: Cycle,
     stats: DramStats,
@@ -88,6 +92,7 @@ impl Dram {
         Dram {
             cfg,
             data: vec![0; cfg.size as usize],
+            extent: 0,
             open_rows: vec![None; cfg.banks as usize],
             next_free: 0,
             stats: DramStats::default(),
@@ -102,6 +107,13 @@ impl Dram {
     /// Cumulative statistics.
     pub fn stats(&self) -> &DramStats {
         &self.stats
+    }
+
+    /// Written extent: every byte at or above this address is zero.
+    /// Checkpoint save, restore and state hashing cost time in
+    /// proportion to it, not to the capacity.
+    pub fn extent(&self) -> usize {
+        self.extent
     }
 
     fn row_of(&self, addr: u32) -> u32 {
@@ -148,10 +160,14 @@ impl Dram {
         buf.copy_from_slice(&self.data[a..a + buf.len()]);
     }
 
-    /// Write `buf` at `addr` (functional half).
+    /// Write `buf` at `addr` (functional half). The only path that
+    /// mutates the contents outside a restore, so it maintains the
+    /// written extent.
     pub fn write(&mut self, addr: u32, buf: &[u8]) {
         let a = addr as usize;
-        self.data[a..a + buf.len()].copy_from_slice(buf);
+        let end = a + buf.len();
+        self.data[a..end].copy_from_slice(buf);
+        self.extent = self.extent.max(end);
     }
 
     /// Row-hit fraction over all transactions so far.
@@ -187,7 +203,7 @@ impl Snapshot for DramStats {
 
 impl Snapshot for Dram {
     fn save(&self, w: &mut SnapWriter) {
-        w.blob(&self.data);
+        w.blob_zero_from(&self.data, self.extent);
         w.usize(self.open_rows.len());
         for row in &self.open_rows {
             match row {
@@ -203,7 +219,14 @@ impl Snapshot for Dram {
     }
 
     fn load(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        r.blob_into(&mut self.data)?;
+        match r.blob_into_zero_from(&mut self.data, self.extent) {
+            Ok(extent) => self.extent = extent,
+            Err(e) => {
+                // Partly restored: fall back to the always-safe extent.
+                self.extent = self.data.len();
+                return Err(e);
+            }
+        }
         let banks = r.usize()?;
         if banks != self.open_rows.len() {
             return Err(SnapError::Corrupt("dram bank count"));

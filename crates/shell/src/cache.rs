@@ -702,6 +702,11 @@ impl StreamCache {
         if !cfg.line_bytes.is_power_of_two() || cfg.line_bytes > MAX_LINE_BYTES {
             return Err(SnapError::Corrupt("cache line size"));
         }
+        // A saved line is 21 header bytes plus its data: a count the
+        // remaining input cannot hold is corrupt, not an allocation.
+        if cfg.lines > r.remaining() / (21 + cfg.line_bytes as usize) {
+            return Err(SnapError::Corrupt("cache line count"));
+        }
         let mut cache = StreamCache::new(cfg);
         for line in &mut cache.lines {
             line.tag = r.u32()?;

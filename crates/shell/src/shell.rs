@@ -851,9 +851,11 @@ impl Shell {
     /// rebuilt wholesale — rows and tasks mapped (or retired) after the
     /// system was built are recreated exactly.
     pub fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        // Lengths come from untrusted bytes: reserve no more than the
+        // row and task index types can address.
         let n_rows = r.usize()?;
-        let mut rows = Vec::with_capacity(n_rows);
-        let mut caches = Vec::with_capacity(n_rows);
+        let mut rows = Vec::with_capacity(n_rows.min(1 << 16));
+        let mut caches = Vec::with_capacity(n_rows.min(1 << 16));
         for _ in 0..n_rows {
             rows.push(StreamRow::load_state(r)?);
             let mut cache = StreamCache::load_state(r)?;
@@ -861,7 +863,7 @@ impl Shell {
             caches.push(cache);
         }
         let n_tasks = r.usize()?;
-        let mut tasks = Vec::with_capacity(n_tasks);
+        let mut tasks = Vec::with_capacity(n_tasks.min(1 << 8));
         for _ in 0..n_tasks {
             tasks.push(TaskRow::load_state(r)?);
         }
@@ -1278,6 +1280,38 @@ mod tests {
         let space_before = c.space(row);
         c.deliver_putspace(&fresh, 7);
         assert_eq!(c.space(row), space_before + 64);
+    }
+
+    /// Mutated table lengths in a shell checkpoint come back as
+    /// `SnapError`; they never size an allocation.
+    #[test]
+    fn mutated_table_lengths_are_snap_errors() {
+        let (p, _c, _mem) = pair(256);
+        let mut w = SnapWriter::new();
+        p.save_state(&mut w);
+        let bytes = w.into_bytes();
+        // Offsets of every length: rows, row 0's remotes, its cache's
+        // lines, tasks, and task 0's ports (after its name, budget and
+        // info).
+        let mut prefix = SnapWriter::new();
+        prefix.usize(p.rows.len());
+        let remotes_at = prefix.bytes().len() + 4 + 4 + 1;
+        p.rows[0].save_state(&mut prefix);
+        let lines_at = prefix.bytes().len();
+        p.caches[0].save_state(&mut prefix);
+        let tasks_at = prefix.bytes().len();
+        let ports_at = tasks_at + 8 + (8 + "prod".len()) + 8 + 4;
+        for at in [0, remotes_at, lines_at, tasks_at, ports_at] {
+            for bad in [u64::MAX, 1 << 40, 1 << 20] {
+                let mut m = bytes.clone();
+                m[at..at + 8].copy_from_slice(&bad.to_le_bytes());
+                let mut shell = pair(256).0;
+                let res = shell.load_state(&mut SnapReader::new(&m));
+                assert!(res.is_err(), "length {bad} at offset {at} loaded");
+            }
+        }
+        let mut shell = pair(256).0;
+        shell.load_state(&mut SnapReader::new(&bytes)).unwrap();
     }
 
     /// Retired task slots are recycled lowest-first and the scheduler

@@ -254,14 +254,18 @@ impl StreamRow {
 
     /// Reconstruct a row serialized by [`StreamRow::save_state`].
     pub fn load_state(r: &mut SnapReader) -> Result<StreamRow, SnapError> {
-        let buffer = CyclicBuffer::new(r.u32()?, r.u32()?);
+        let (base, size) = (r.u32()?, r.u32()?);
+        if size == 0 {
+            return Err(SnapError::Corrupt("row buffer size"));
+        }
+        let buffer = CyclicBuffer::new(base, size);
         let dir = match r.u8()? {
             0 => PortDir::Producer,
             1 => PortDir::Consumer,
             _ => return Err(SnapError::Corrupt("port direction")),
         };
         let n_remotes = r.usize()?;
-        let mut remotes = Vec::with_capacity(n_remotes);
+        let mut remotes = Vec::with_capacity(n_remotes.min(1 << 16));
         for _ in 0..n_remotes {
             remotes.push(AccessPoint {
                 shell: ShellId(r.u16()?),

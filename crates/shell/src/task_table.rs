@@ -131,7 +131,7 @@ impl TaskRow {
         let budget = r.u64()?;
         let task_info = r.u32()?;
         let n_ports = r.usize()?;
-        let mut ports = Vec::with_capacity(n_ports);
+        let mut ports = Vec::with_capacity(n_ports.min(1 << 16));
         for _ in 0..n_ports {
             ports.push(RowIdx(r.u16()?));
         }

@@ -119,10 +119,18 @@ impl std::hash::Hasher for FnvHasher {
 /// save).
 const ZERO_RUN_MIN: usize = 32;
 
+/// Largest blob [`SnapReader::blob`] accepts: 64 MiB, the default DRAM
+/// size. The `Vec`-returning decoder allocates what the header's total
+/// claims, so an unchecked total in a corrupt checkpoint would turn a
+/// few header bytes into an arbitrary allocation. Fixed-size memory
+/// arrays restore through [`SnapReader::blob_into`], which checks the
+/// total against the destination instead.
+pub const BLOB_MAX: usize = 64 << 20;
+
 /// Length of the zero run at the head of `data`, scanned a word at a
-/// time. The blob encoder walks the entire 64 MiB mostly-zero DRAM on
-/// every `save`/`state_hash`; a byte-at-a-time scan dominates the whole
-/// checkpoint cost.
+/// time. The blob encoder scans every byte below a memory's written
+/// extent (see [`SnapWriter::blob_zero_from`]), so a byte-at-a-time
+/// scan would dominate the checkpoint cost.
 fn zero_prefix(data: &[u8]) -> usize {
     let mut i = 0;
     while i + 8 <= data.len() {
@@ -135,6 +143,20 @@ fn zero_prefix(data: &[u8]) -> usize {
         i += 1;
     }
     i
+}
+
+/// Length of the zero run at `data[i..]` when every byte at or above
+/// `extent` is known to be zero: only `[i..extent]` is scanned.
+fn zero_run(data: &[u8], i: usize, extent: usize) -> usize {
+    if i >= extent {
+        return data.len() - i;
+    }
+    let z = zero_prefix(&data[i..extent]);
+    if i + z == extent {
+        data.len() - i
+    } else {
+        z
+    }
 }
 
 /// Append-only binary encoder.
@@ -229,11 +251,21 @@ impl SnapWriter {
     /// is a zero run and tag 1 a literal span followed by its bytes,
     /// until the segment lengths sum to the total.
     pub fn blob(&mut self, data: &[u8]) {
+        self.blob_zero_from(data, data.len());
+    }
+
+    /// [`SnapWriter::blob`] for a buffer whose bytes at and above
+    /// `extent` are all zero (the caller's invariant; not checked). The
+    /// output is byte-identical to `blob(data)`, but the tail is encoded
+    /// as a known zero run without being read, so the cost scales with
+    /// `extent`, not with `data.len()`.
+    pub fn blob_zero_from(&mut self, data: &[u8], extent: usize) {
+        let extent = extent.min(data.len());
         self.usize(data.len());
         let mut i = 0;
         while i < data.len() {
-            if data[i] == 0 {
-                let run = zero_prefix(&data[i..]);
+            if i >= extent || data[i] == 0 {
+                let run = zero_run(data, i, extent);
                 if run >= ZERO_RUN_MIN || (i == 0 && i + run == data.len()) {
                     self.u8(0);
                     self.usize(run);
@@ -244,9 +276,9 @@ impl SnapWriter {
             }
             let start = i;
             while i < data.len() {
-                if data[i] == 0 {
+                if i >= extent || data[i] == 0 {
                     // Look ahead: only break the literal for a long run.
-                    let z = zero_prefix(&data[i..]);
+                    let z = zero_run(data, i, extent);
                     if z >= ZERO_RUN_MIN {
                         break;
                     }
@@ -318,8 +350,9 @@ impl<'a> SnapReader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    /// Read a usize stored as u64; rejects values beyond the remaining
-    /// input (cheap corruption guard for length prefixes).
+    /// Read a usize stored as u64; rejects only values that do not fit
+    /// the host's `usize`. Callers bound a decoded length themselves
+    /// before allocating from it.
     pub fn usize(&mut self) -> Result<usize, SnapError> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| SnapError::Corrupt("usize overflow"))
@@ -360,10 +393,13 @@ impl<'a> SnapReader<'a> {
     }
 
     /// Read a zero-run-length-encoded blob (the [`SnapWriter::blob`]
-    /// counterpart).
+    /// counterpart). Totals above [`BLOB_MAX`] are rejected as corrupt.
     pub fn blob(&mut self) -> Result<Vec<u8>, SnapError> {
         let total = self.usize()?;
-        let mut out = Vec::with_capacity(total.min(1 << 26));
+        if total > BLOB_MAX {
+            return Err(SnapError::Corrupt("blob total exceeds cap"));
+        }
+        let mut out = Vec::with_capacity(total);
         while out.len() < total {
             let tag = self.u8()?;
             let len = self.usize()?;
@@ -382,11 +418,27 @@ impl<'a> SnapReader<'a> {
     /// Restore a blob directly into an existing buffer whose length must
     /// match (memory arrays never change size after build).
     pub fn blob_into(&mut self, dst: &mut [u8]) -> Result<(), SnapError> {
+        self.blob_into_zero_from(dst, dst.len()).map(|_| ())
+    }
+
+    /// [`SnapReader::blob_into`] for a destination whose bytes at and
+    /// above `extent` are all zero. Zero segments are checked and
+    /// cleared only below `extent`; the tail is left unread. Returns the
+    /// destination's new extent: the end of the last literal segment,
+    /// above which every byte is now zero. On error the destination is
+    /// partly overwritten and its extent is unknown.
+    pub fn blob_into_zero_from(
+        &mut self,
+        dst: &mut [u8],
+        extent: usize,
+    ) -> Result<usize, SnapError> {
         let total = self.usize()?;
         if total != dst.len() {
             return Err(SnapError::Corrupt("blob length mismatch"));
         }
+        let extent = extent.min(total);
         let mut filled = 0;
+        let mut new_extent = 0;
         while filled < total {
             let tag = self.u8()?;
             let len = self.usize()?;
@@ -394,22 +446,26 @@ impl<'a> SnapReader<'a> {
                 return Err(SnapError::Corrupt("blob segment overruns total"));
             }
             match tag {
-                0 => {
+                0 if filled < extent => {
                     // Skip the write when the span is already zero: a
                     // fresh build's memory is untouched copy-on-write
-                    // pages, and dirtying 64 MiB of them costs far more
-                    // than this read-only scan.
-                    let span = &mut dst[filled..filled + len];
+                    // pages, and dirtying them costs far more than this
+                    // read-only scan.
+                    let span = &mut dst[filled..(filled + len).min(extent)];
                     if zero_prefix(span) != span.len() {
                         span.fill(0);
                     }
                 }
-                1 => dst[filled..filled + len].copy_from_slice(self.take(len)?),
+                0 => {}
+                1 => {
+                    dst[filled..filled + len].copy_from_slice(self.take(len)?);
+                    new_extent = filled + len;
+                }
                 _ => return Err(SnapError::Corrupt("blob segment tag")),
             }
             filled += len;
         }
-        Ok(())
+        Ok(new_extent)
     }
 }
 
@@ -436,6 +492,7 @@ impl Snapshot for u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn scalars_round_trip() {
@@ -544,6 +601,104 @@ mod tests {
         // total + one literal segment header + payload.
         assert_eq!(bytes.len(), 8 + 1 + 8 + data.len());
         assert_eq!(SnapReader::new(&bytes).blob().unwrap(), data.to_vec());
+    }
+
+    #[test]
+    fn oversized_blob_total_is_corrupt_not_an_allocation() {
+        // A crafted header: one zero segment claiming 1 TiB.
+        let mut w = SnapWriter::new();
+        w.usize(1 << 40);
+        w.u8(0);
+        w.usize(1 << 40);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            SnapReader::new(&bytes).blob(),
+            Err(SnapError::Corrupt("blob total exceeds cap"))
+        );
+        let mut w = SnapWriter::new();
+        w.usize(BLOB_MAX + 1);
+        let bytes = w.into_bytes();
+        assert_eq!(
+            SnapReader::new(&bytes).blob(),
+            Err(SnapError::Corrupt("blob total exceeds cap"))
+        );
+    }
+
+    /// End of the last literal segment of an encoded blob.
+    fn last_literal_end(encoded: &[u8]) -> usize {
+        let mut r = SnapReader::new(encoded);
+        let total = r.usize().unwrap();
+        let (mut filled, mut end) = (0, 0);
+        while filled < total {
+            let tag = r.u8().unwrap();
+            let len = r.usize().unwrap();
+            if tag == 1 {
+                r.raw(len).unwrap();
+                end = filled + len;
+            }
+            filled += len;
+        }
+        end
+    }
+
+    /// A sparse buffer: a few runs of one byte value (possibly zero)
+    /// over a zero background, optionally with a non-zero last byte.
+    fn arb_sparse() -> impl Strategy<Value = Vec<u8>> {
+        (
+            0usize..600,
+            proptest::collection::vec((0usize..600, 1usize..48, any::<u8>()), 0..8),
+            proptest::bool::ANY,
+        )
+            .prop_map(|(len, runs, last_nonzero)| {
+                let mut data = vec![0u8; len];
+                for (at, run, v) in runs {
+                    for b in data.iter_mut().skip(at).take(run) {
+                        *b = v;
+                    }
+                }
+                if last_nonzero && len > 0 {
+                    data[len - 1] = 0xA5;
+                }
+                data
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// For every extent at or above the true end of the content, the
+        /// extent-aware codec matches the full scan byte for byte and
+        /// round-trips into both a clean and a dirty destination.
+        #[test]
+        fn zero_from_codec_matches_full_scan(data in arb_sparse(), dirt in 0usize..=600) {
+            let len = data.len();
+            let mut w = SnapWriter::new();
+            w.blob(&data);
+            let full = w.into_bytes();
+            let literal_end = last_literal_end(&full);
+            let content_end = data.iter().rposition(|&b| b != 0).map_or(0, |p| p + 1);
+            prop_assert!(content_end <= literal_end && literal_end <= len);
+
+            // A dirty destination whose extent covers its dirt.
+            let dirt = dirt.min(len);
+            let dirty: Vec<u8> = (0..len)
+                .map(|i| if i < dirt { (i as u8).wrapping_mul(31) | 1 } else { 0 })
+                .collect();
+
+            for extent in content_end..=len {
+                let mut w = SnapWriter::new();
+                w.blob_zero_from(&data, extent);
+                prop_assert_eq!(w.bytes(), &full[..], "extent {}", extent);
+            }
+            let mut clean = vec![0u8; len];
+            let got = SnapReader::new(&full).blob_into_zero_from(&mut clean, 0).unwrap();
+            prop_assert_eq!(got, literal_end);
+            prop_assert_eq!(&clean, &data);
+            let mut dst = dirty.clone();
+            let got = SnapReader::new(&full).blob_into_zero_from(&mut dst, dirt).unwrap();
+            prop_assert_eq!(got, literal_end);
+            prop_assert_eq!(&dst, &data);
+        }
     }
 
     #[test]
