@@ -11,7 +11,7 @@ use std::hint::black_box;
 use eclipse_bench::microbench::bench;
 use eclipse_media::bits::{BitReader, BitWriter};
 use eclipse_media::dct::{fdct2d, idct2d};
-use eclipse_media::motion::{three_step_search_pred, MotionVector};
+use eclipse_media::motion::{mb_luma, three_step_search_pred, MotionVector, SearchWindow};
 use eclipse_media::quant::{dequant_intra, quant_intra};
 use eclipse_media::scan::{rle_decode, rle_encode};
 use eclipse_media::source::{SourceConfig, SyntheticSource};
@@ -81,6 +81,24 @@ fn bench_motion() {
             15,
             &[MotionVector::default()],
         )
+    });
+    // Edge macroblock: most of its window is replicated frame edge.
+    bench("motion/three_step_search_qcif_edge_mb", || {
+        three_step_search_pred(
+            black_box(&f1),
+            black_box(&f0),
+            0,
+            0,
+            15,
+            &[MotionVector::default()],
+        )
+    });
+    // One SAD per half-pel phase over a prebuilt window (the kernel alone).
+    let win = SearchWindow::from_plane(&f0.y, 5, 4, 15);
+    let luma = mb_luma(&f1, 5, 4);
+    bench("motion/window_sad_4_phases", || {
+        [(6, -4), (7, -4), (6, -3), (7, -3)]
+            .map(|(dx, dy)| win.sad(black_box(&luma), MotionVector { dx, dy }))
     });
 }
 

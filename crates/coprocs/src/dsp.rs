@@ -23,6 +23,7 @@ use std::collections::BTreeMap;
 use eclipse_core::{Coprocessor, StepCtx, StepResult};
 use eclipse_media::bits::BitWriter;
 use eclipse_media::frame::Frame;
+use eclipse_media::motion::MotionVector;
 use eclipse_media::scan::RunLevel;
 use eclipse_media::stream::{
     write_end, write_mb_header, write_picture_header, write_sequence_header, GopConfig, MbHeader,
@@ -130,6 +131,8 @@ struct VleTask {
     writer: BitWriter,
     pending: Vec<u8>,
     eos_seen: bool,
+    /// Damaged token records dropped instead of crashing.
+    errors_recovered: u64,
 }
 
 struct SinkTask {
@@ -296,6 +299,7 @@ impl SwTask {
                 w.u8(bit_pos);
                 w.bytes_slice(&t.pending);
                 w.bool(t.eos_seen);
+                w.u64(t.errors_recovered);
             }
             SwTask::Sink(t) => {
                 w.u8(3);
@@ -386,6 +390,7 @@ impl SwTask {
                     writer: BitWriter::from_parts(bytes, bit_pos),
                     pending: r.bytes_vec()?,
                     eos_seen: r.bool()?,
+                    errors_recovered: r.u64()?,
                 })
             }
             3 => SwTask::Sink(SinkTask {
@@ -618,6 +623,7 @@ impl Coprocessor for DspCoproc {
                         writer,
                         pending: Vec::new(),
                         eos_seen: false,
+                        errors_recovered: 0,
                     }),
                 );
                 // No input hint: after EOS the VLE still runs to flush its
@@ -726,6 +732,7 @@ impl Coprocessor for DspCoproc {
                 SwTask::Monitor(t) => (t.errors_recovered, 0),
                 SwTask::Demux(t) => (t.errors_recovered, 0),
                 SwTask::PcmSink(t) => (t.errors_recovered, 0),
+                SwTask::Vle(t) => (t.errors_recovered, 0),
                 _ => (0, 0),
             })
             .fold((0, 0), |(e, c), (te, tc)| (e + te, c + tc))
@@ -737,6 +744,7 @@ impl Coprocessor for DspCoproc {
             Some(SwTask::Monitor(t)) => (t.errors_recovered, 0),
             Some(SwTask::Demux(t)) => (t.errors_recovered, 0),
             Some(SwTask::PcmSink(t)) => (t.errors_recovered, 0),
+            Some(SwTask::Vle(t)) => (t.errors_recovered, 0),
             _ => (0, 0),
         }
     }
@@ -1317,8 +1325,13 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
                 None => return StepResult::Blocked,
                 Some(b) => b,
             };
-            let pic = PicRec::from_body(&body[1..]).expect("bad PIC record");
             r.commit(ctx);
+            let Some(pic) = PicRec::from_body(&body[1..]) else {
+                // Damaged in SRAM: drop it.
+                ctx.compute(1);
+                t.errors_recovered += 1;
+                return StepResult::Done;
+            };
             write_picture_header(
                 &mut t.writer,
                 &PictureHeader {
@@ -1338,9 +1351,18 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
                 None => return StepResult::Blocked,
                 Some(b) => b,
             };
-            let (mode_code, cbp, fwd, bwd) = mbmv_from_body(&hdr[1..]).unwrap();
-            let mode = decode_mode(mode_code, fwd, bwd).expect("bad mode code");
+            let (mode_code, cbp, fwd, bwd) = mbmv_from_body(&hdr[1..]).unwrap_or((
+                u8::MAX,
+                0,
+                MotionVector::default(),
+                MotionVector::default(),
+            ));
+            let mode = decode_mode(mode_code, fwd, bwd);
             let intra = mode_code == records::mode::INTRA;
+            // A record damaged in SRAM (invalid mode code, cbp, symbol
+            // count or symbol) is consumed and dropped: the bit syntax
+            // cannot carry it.
+            let mut damaged = mode.is_none() || cbp >= 1 << 6;
             // Parse per-block symbol payloads.
             let mut payloads: Vec<(Option<i16>, Vec<RunLevel>)> = Vec::new();
             let mut nsym_total = 0u64;
@@ -1361,6 +1383,13 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
                     None => return StepResult::Blocked,
                     Some(b) => u16::from_le_bytes(b) as u32,
                 };
+                // At most 64 symbols fit in a block; a larger count is a
+                // damaged length field, and the rest of the record cannot
+                // be located.
+                if nsym > 64 {
+                    damaged = true;
+                    break;
+                }
                 if !r.need(ctx, nsym * 3) {
                     return StepResult::Blocked;
                 }
@@ -1368,15 +1397,22 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
                 for _ in 0..nsym {
                     let mut sb = [0u8; 3];
                     r.read(ctx, &mut sb);
-                    symbols.push(RunLevel {
+                    let rl = RunLevel {
                         run: sb[0],
                         level: i16::from_le_bytes([sb[1], sb[2]]),
-                    });
+                    };
+                    damaged |= rl.run >= 64 || rl.level == 0;
+                    symbols.push(rl);
                 }
                 nsym_total += nsym as u64;
                 payloads.push((dc_diff, symbols));
             }
             r.commit(ctx);
+            let Some(mode) = mode.filter(|_| !damaged) else {
+                ctx.compute(cost.per_record);
+                t.errors_recovered += 1;
+                return StepResult::Done;
+            };
             // Serialize into the bit syntax.
             write_mb_header(&mut t.writer, &MbHeader { mode, cbp });
             for (dc_diff, symbols) in &payloads {
@@ -1390,7 +1426,15 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
             ctx.compute(cost.per_record + nsym_total * 8);
             StepResult::Done
         }
-        other => panic!("vle: unexpected tag {other:#x}"),
+        _ => {
+            // Unknown tag (bit-flipped in SRAM): skip one byte and rescan.
+            let mut b = [0u8; 1];
+            r.read(ctx, &mut b);
+            r.commit(ctx);
+            ctx.compute(1);
+            t.errors_recovered += 1;
+            StepResult::Done
+        }
     }
 }
 

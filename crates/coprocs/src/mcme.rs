@@ -15,8 +15,10 @@
 //!   back to the frame store (reference + display) and streams them to
 //!   the display task;
 //! * `me` — encode-side motion estimation: consumes source macroblocks,
-//!   searches the reconstructed reference frames (through a fetched
-//!   search window, like a hardware ME's window cache), decides
+//!   fetches a tile-aligned luma window of each reconstructed reference
+//!   frame (like a hardware ME's window cache), searches it with the
+//!   software encoder's own kernel ([`SearchWindow::search`], so both
+//!   encoders pick the same vectors and evaluation counts), decides
 //!   intra/inter/bi modes, and emits the mb-decision stream plus the
 //!   six residual blocks per macroblock;
 //! * `recon` — the encoder's local decoding loop tail: adds the
@@ -28,7 +30,9 @@
 use std::collections::BTreeMap;
 
 use eclipse_core::{Coprocessor, StepCtx, StepResult};
-use eclipse_media::motion::MotionVector;
+use eclipse_media::motion::{
+    intra_activity, luma_sad, mb_luma_from_blocks, MotionVector, SearchWindow,
+};
 use eclipse_media::stream::PictureType;
 use eclipse_shell::{PortId, TaskIdx};
 use eclipse_sim::snapshot::{SnapError, SnapReader, SnapWriter};
@@ -120,6 +124,14 @@ struct McTask {
 }
 
 impl McTaskConfig {
+    /// Does `pic`'s geometry fit this arena? A PIC record damaged in SRAM
+    /// can name any size; the encode-side tasks drop those that do not.
+    fn fits(&self, pic: &PicRec) -> bool {
+        pic.mb_count() > 0
+            && pic.mb_cols as u32 <= self.width / 16
+            && pic.mb_rows as u32 <= self.height / 16
+    }
+
     fn save_state(&self, w: &mut SnapWriter) {
         w.u32(self.arena_base);
         w.u32(self.width);
@@ -624,205 +636,37 @@ struct MeTask {
     mv_pred: (MotionVector, MotionVector),
 }
 
-/// A fetched luma search window (the ME's window cache).
-struct SearchWindow {
-    x0: i32,
-    y0: i32,
-    w: usize,
-    h: usize,
-    data: Vec<u8>,
-}
-
-impl SearchWindow {
-    #[inline]
-    fn sample(&self, x: i32, y: i32) -> i32 {
-        let cx = (x - self.x0).clamp(0, self.w as i32 - 1) as usize;
-        let cy = (y - self.y0).clamp(0, self.h as i32 - 1) as usize;
-        self.data[cy * self.w + cx] as i32
-    }
-
-    /// Half-pel sampling with the same MPEG rounding as the frame-store
-    /// fetch (the ME's cost estimates match what the MC will produce).
-    #[inline]
-    fn sample_half(&self, x2: i32, y2: i32) -> i32 {
-        let (xi, yi) = (x2 >> 1, y2 >> 1);
-        match (x2 & 1, y2 & 1) {
-            (0, 0) => self.sample(xi, yi),
-            (1, 0) => (self.sample(xi, yi) + self.sample(xi + 1, yi) + 1) >> 1,
-            (0, 1) => (self.sample(xi, yi) + self.sample(xi, yi + 1) + 1) >> 1,
-            _ => {
-                (self.sample(xi, yi)
-                    + self.sample(xi + 1, yi)
-                    + self.sample(xi, yi + 1)
-                    + self.sample(xi + 1, yi + 1)
-                    + 2)
-                    >> 2
-            }
-        }
-    }
-}
-
-/// Fetch the tile-aligned luma window covering the search area of
-/// macroblock (mbx, mby) from `slot`.
+/// Fetch the tile-aligned luma area covering the search of macroblock
+/// (mbx, mby) from `slot` (the ME's window cache) into the padded
+/// [`SearchWindow`] the shared kernel searches. Returns the window and
+/// the bytes fetched.
 fn fetch_window(
     ctx: &mut StepCtx<'_>,
     t: &McTask,
     slot: u32,
     mbx: u32,
     mby: u32,
-    range: i32,
-) -> SearchWindow {
+    range: u8,
+) -> (SearchWindow, u64) {
     let fs = &t.fs;
     let base = t.cfg.arena_base + slot * fs.slot_bytes();
     let (w, h) = (t.cfg.width as i32, t.cfg.height as i32);
-    // +2 margin: half-pel refinement reaches range+0.5 and interpolation
-    // needs one more sample.
-    let x_lo = ((mbx as i32 * 16 - range - 2).max(0) / 8) * 8;
-    let y_lo = ((mby as i32 * 16 - range - 2).max(0) / 8) * 8;
-    let x_hi = ((mbx as i32 * 16 + 16 + range + 2).min(w) + 7) / 8 * 8;
-    let y_hi = ((mby as i32 * 16 + 16 + range + 2).min(h) + 7) / 8 * 8;
-    let (ww, wh) = ((x_hi - x_lo) as usize, (y_hi - y_lo) as usize);
-    let mut data = vec![0u8; ww * wh];
-    let mut ty = y_lo;
-    while ty < y_hi {
-        let mut tx = x_lo;
-        while tx < x_hi {
-            let tile = fs.fetch_block(ctx, base, PlaneSel::Y, tx, ty);
-            for y in 0..8 {
-                for x in 0..8 {
-                    data[(ty - y_lo + y) as usize * ww + (tx - x_lo + x) as usize] =
-                        tile[(y * 8 + x) as usize] as u8;
-                }
-            }
-            tx += 8;
-        }
-        ty += 8;
-    }
-    SearchWindow {
-        x0: x_lo,
-        y0: y_lo,
-        w: ww,
-        h: wh,
-        data,
-    }
-}
-
-/// SAD of the 16×16 source luma against the window displaced by the
-/// half-pel vector `mv`.
-fn window_sad(
-    src: &[[i16; 64]; 6],
-    win: &SearchWindow,
-    mbx: u32,
-    mby: u32,
-    mv: MotionVector,
-) -> u32 {
-    let (x20, y20) = (
-        mbx as i32 * 32 + mv.dx as i32,
-        mby as i32 * 32 + mv.dy as i32,
-    );
-    let mut sad = 0u32;
-    for y in 0..16i32 {
-        for x in 0..16i32 {
-            let blk = (y / 8 * 2 + x / 8) as usize;
-            let s = src[blk][((y % 8) * 8 + x % 8) as usize] as i32;
-            sad += (s - win.sample_half(x20 + 2 * x, y20 + 2 * y)).unsigned_abs();
+    let r = range as i32;
+    // The fetched tiles: the macroblock ±(range+2), clipped to the frame
+    // and rounded out to the tile grid. That covers the window's frame
+    // rectangle (the macroblock ±(range+1)).
+    let x_lo = ((mbx as i32 * 16 - r - 2).max(0) / 8) * 8;
+    let y_lo = ((mby as i32 * 16 - r - 2).max(0) / 8) * 8;
+    let x_hi = ((mbx as i32 * 16 + 16 + r + 2).min(w) + 7) / 8 * 8;
+    let y_hi = ((mby as i32 * 16 + 16 + r + 2).min(h) + 7) / 8 * 8;
+    let mut win = SearchWindow::new(w as usize, h as usize, mbx as usize, mby as usize, range);
+    for ty in (y_lo..y_hi).step_by(8) {
+        for tx in (x_lo..x_hi).step_by(8) {
+            win.put_tile(tx, ty, &fs.fetch_block(ctx, base, PlaneSel::Y, tx, ty));
         }
     }
-    sad
-}
-
-/// Predictor-seeded three-step search over the window on the full-pel
-/// lattice, followed by half-pel refinement (mirrors
-/// [`eclipse_media::motion::three_step_search_pred`]). Returns
-/// (half-pel mv, sad, evaluations).
-fn window_search(
-    src: &[[i16; 64]; 6],
-    win: &SearchWindow,
-    mbx: u32,
-    mby: u32,
-    range: u8,
-    candidates: &[MotionVector],
-) -> (MotionVector, u32, u32) {
-    let limit = range as i16 * 2 + 1;
-    let clamp = |v: MotionVector| MotionVector {
-        dx: v.dx.clamp(-limit, limit),
-        dy: v.dy.clamp(-limit, limit),
-    };
-    let mut best = clamp(*candidates.first().unwrap_or(&MotionVector::default()));
-    let mut best_sad = window_sad(src, win, mbx, mby, best);
-    let mut evals = 1u32;
-    let consider =
-        |cand: MotionVector, best: &mut MotionVector, best_sad: &mut u32, evals: &mut u32| {
-            if cand == *best {
-                return;
-            }
-            let sad = window_sad(src, win, mbx, mby, cand);
-            *evals += 1;
-            if sad < *best_sad || (sad == *best_sad && (cand.dx, cand.dy) < (best.dx, best.dy)) {
-                *best_sad = sad;
-                *best = cand;
-            }
-        };
-    for &cand in candidates.iter().skip(1) {
-        consider(clamp(cand), &mut best, &mut best_sad, &mut evals);
-    }
-    let mut step = (range.max(1) as u16).next_power_of_two() as i16;
-    while step >= 2 {
-        let center = best;
-        for dy in [-step, 0, step] {
-            for dx in [-step, 0, step] {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                consider(
-                    clamp(MotionVector {
-                        dx: center.dx + dx,
-                        dy: center.dy + dy,
-                    }),
-                    &mut best,
-                    &mut best_sad,
-                    &mut evals,
-                );
-            }
-        }
-        step /= 2;
-    }
-    let center = best;
-    for dy in [-1i16, 0, 1] {
-        for dx in [-1i16, 0, 1] {
-            if dx == 0 && dy == 0 {
-                continue;
-            }
-            consider(
-                clamp(MotionVector {
-                    dx: center.dx + dx,
-                    dy: center.dy + dy,
-                }),
-                &mut best,
-                &mut best_sad,
-                &mut evals,
-            );
-        }
-    }
-    (best, best_sad, evals)
-}
-
-/// Luma activity (SAD against the mean) — the intra/inter threshold.
-fn intra_activity(src: &[[i16; 64]; 6]) -> u32 {
-    let mut sum: i64 = 0;
-    for blk in src.iter().take(4) {
-        for &v in blk.iter() {
-            sum += v as i64;
-        }
-    }
-    let mean = (sum / 256) as i16;
-    let mut act = 0u32;
-    for blk in src.iter().take(4) {
-        for &v in blk.iter() {
-            act += (v - mean).unsigned_abs() as u32;
-        }
-    }
-    act
+    win.pad();
+    (win, ((x_hi - x_lo) * (y_hi - y_lo)) as u64)
 }
 
 fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
@@ -853,7 +697,15 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
                 None => return StepResult::Blocked,
                 Some(b) => b,
             };
-            let pic = PicRec::from_body(&body[1..]).expect("bad PIC record");
+            // A PIC record damaged in SRAM (bad type byte, geometry the
+            // arena cannot hold) is dropped; the MB-without-PIC path
+            // swallows its macroblocks.
+            let Some(pic) = PicRec::from_body(&body[1..]).filter(|p| t.inner.cfg.fits(p)) else {
+                r_src.commit(ctx);
+                ctx.compute(1);
+                t.inner.errors_recovered += 1;
+                return StepResult::Done;
+            };
             // Frame-level dependency: every previously emitted anchor must
             // be reconstructed before a picture that references them.
             if pic.ptype != PictureType::I {
@@ -885,7 +737,6 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             StepResult::Done
         }
         TAG_MB => {
-            let pic = t.inner.pic.expect("MB before PIC on source stream");
             if !r_src.need(ctx, 1 + records::PIX_REC_BYTES) {
                 return StepResult::Blocked;
             }
@@ -893,99 +744,98 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             r_src.read(ctx, &mut tagb);
             let mut pix = vec![0u8; records::PIX_REC_BYTES as usize];
             r_src.read(ctx, &mut pix);
-            let src = records::pix_from_bytes(&pix).unwrap();
+            let Some(pic) = t.inner.pic else {
+                // MB with no live picture (its PIC record was dropped):
+                // consume it and emit nothing.
+                r_src.commit(ctx);
+                ctx.compute(1);
+                t.inner.errors_recovered += 1;
+                return StepResult::Done;
+            };
+            let src = records::pix_from_bytes(&pix).unwrap_or([[0i16; 64]; 6]);
             let (mbx, mby) = (
                 t.inner.mb_index % pic.mb_cols as u32,
                 t.inner.mb_index / pic.mb_cols as u32,
             );
             let range = t.inner.cfg.search_range;
+            let luma = mb_luma_from_blocks(&src);
 
-            // Mode decision.
+            // Mode decision. Predictor and statistics updates wait for the
+            // commit: a step that blocks on output room is re-run from
+            // scratch and must search with the same candidates.
             use eclipse_media::motion::PredictionMode as Pm;
             let mut fetch_bytes = 0u64;
-            let (mode, pred): (Pm, [[i16; 64]; 6]) = match pic.ptype {
-                PictureType::I => (Pm::Intra, [[0i16; 64]; 6]),
-                PictureType::P => {
-                    let slot = t
-                        .inner
-                        .slots
-                        .last_anchor
-                        .expect("P picture without reference");
-                    let win = fetch_window(ctx, &t.inner, slot, mbx, mby, range as i32);
-                    fetch_bytes += (win.w * win.h) as u64;
-                    let cands = [MotionVector::default(), t.mv_pred.0];
-                    let (mv, sad, evals) = window_search(&src, &win, mbx, mby, range, &cands);
-                    t.mv_pred.0 = mv;
-                    t.sad_evals += evals as u64;
-                    ctx.compute(evals as u64 * cost.per_sad);
-                    if sad < intra_activity(&src) {
-                        (
-                            Pm::Forward(mv),
-                            fetch_pred(
-                                ctx,
-                                &t.inner.fs,
-                                t.inner.cfg.arena_base,
-                                slot,
-                                mbx,
-                                mby,
-                                mv,
-                            ),
-                        )
-                    } else {
-                        (Pm::Intra, [[0i16; 64]; 6])
-                    }
-                }
-                PictureType::B => {
-                    let fslot = t
-                        .inner
-                        .slots
-                        .prev_anchor
-                        .expect("B picture without past anchor");
-                    let bslot = t
-                        .inner
-                        .slots
-                        .last_anchor
-                        .expect("B picture without future anchor");
-                    let fwin = fetch_window(ctx, &t.inner, fslot, mbx, mby, range as i32);
-                    let bwin = fetch_window(ctx, &t.inner, bslot, mbx, mby, range as i32);
-                    fetch_bytes += (fwin.w * fwin.h + bwin.w * bwin.h) as u64;
-                    let fcands = [MotionVector::default(), t.mv_pred.0];
-                    let bcands = [MotionVector::default(), t.mv_pred.1];
-                    let (fmv, fsad, fe) = window_search(&src, &fwin, mbx, mby, range, &fcands);
-                    let (bmv, bsad, be) = window_search(&src, &bwin, mbx, mby, range, &bcands);
-                    t.mv_pred = (fmv, bmv);
-                    t.sad_evals += (fe + be) as u64;
-                    ctx.compute((fe + be) as u64 * cost.per_sad);
-                    let arena = t.inner.cfg.arena_base;
-                    let fp = fetch_pred(ctx, &t.inner.fs, arena, fslot, mbx, mby, fmv);
-                    let bp = fetch_pred(ctx, &t.inner.fs, arena, bslot, mbx, mby, bmv);
-                    let mut bi = [[0i16; 64]; 6];
-                    for blk in 0..6 {
-                        for i in 0..64 {
-                            bi[blk][i] = (fp[blk][i] + bp[blk][i] + 1) >> 1;
+            let mut mv_pred = t.mv_pred;
+            let mut evals = 0u32;
+            let mut missing_ref = false;
+            let slots = t.inner.slots;
+            let (mode, pred): (Pm, [[i16; 64]; 6]) =
+                match (pic.ptype, slots.prev_anchor, slots.last_anchor) {
+                    (PictureType::I, _, _) => (Pm::Intra, [[0i16; 64]; 6]),
+                    (PictureType::P, _, Some(slot)) => {
+                        let (win, bytes) = fetch_window(ctx, &t.inner, slot, mbx, mby, range);
+                        fetch_bytes += bytes;
+                        let cands = [MotionVector::default(), mv_pred.0];
+                        let (mv, sad, e) = win.search(&luma, &cands);
+                        mv_pred.0 = mv;
+                        evals = e;
+                        ctx.compute(evals as u64 * cost.per_sad);
+                        if sad < intra_activity(&src) {
+                            (
+                                Pm::Forward(mv),
+                                fetch_pred(
+                                    ctx,
+                                    &t.inner.fs,
+                                    t.inner.cfg.arena_base,
+                                    slot,
+                                    mbx,
+                                    mby,
+                                    mv,
+                                ),
+                            )
+                        } else {
+                            (Pm::Intra, [[0i16; 64]; 6])
                         }
                     }
-                    let bi_sad = {
-                        let mut sad = 0u32;
-                        for blk in 0..4 {
+                    (PictureType::B, Some(fslot), Some(bslot)) => {
+                        let (fwin, fbytes) = fetch_window(ctx, &t.inner, fslot, mbx, mby, range);
+                        let (bwin, bbytes) = fetch_window(ctx, &t.inner, bslot, mbx, mby, range);
+                        fetch_bytes += fbytes + bbytes;
+                        let fcands = [MotionVector::default(), mv_pred.0];
+                        let bcands = [MotionVector::default(), mv_pred.1];
+                        let (fmv, fsad, fe) = fwin.search(&luma, &fcands);
+                        let (bmv, bsad, be) = bwin.search(&luma, &bcands);
+                        mv_pred = (fmv, bmv);
+                        evals = fe + be;
+                        ctx.compute(evals as u64 * cost.per_sad);
+                        let arena = t.inner.cfg.arena_base;
+                        let fp = fetch_pred(ctx, &t.inner.fs, arena, fslot, mbx, mby, fmv);
+                        let bp = fetch_pred(ctx, &t.inner.fs, arena, bslot, mbx, mby, bmv);
+                        let mut bi = [[0i16; 64]; 6];
+                        for blk in 0..6 {
                             for i in 0..64 {
-                                sad += (src[blk][i] - bi[blk][i]).unsigned_abs() as u32;
+                                bi[blk][i] = (fp[blk][i] + bp[blk][i] + 1) >> 1;
                             }
                         }
-                        sad
-                    };
-                    let best = fsad.min(bsad).min(bi_sad);
-                    if best >= intra_activity(&src) {
-                        (Pm::Intra, [[0i16; 64]; 6])
-                    } else if bi_sad == best {
-                        (Pm::Bidirectional(fmv, bmv), bi)
-                    } else if fsad == best {
-                        (Pm::Forward(fmv), fp)
-                    } else {
-                        (Pm::Backward(bmv), bp)
+                        let bi_sad = luma_sad(&src, &bi);
+                        let best = fsad.min(bsad).min(bi_sad);
+                        if best >= intra_activity(&src) {
+                            (Pm::Intra, [[0i16; 64]; 6])
+                        } else if bi_sad == best {
+                            (Pm::Bidirectional(fmv, bmv), bi)
+                        } else if fsad == best {
+                            (Pm::Forward(fmv), fp)
+                        } else {
+                            (Pm::Backward(bmv), bp)
+                        }
                     }
-                }
-            };
+                    // A picture type flipped in SRAM can name an anchor that
+                    // does not exist yet: code the macroblock intra.
+                    _ => {
+                        missing_ref = true;
+                        (Pm::Intra, [[0i16; 64]; 6])
+                    }
+                };
 
             // Emit the decision and the six residual blocks.
             let (mode_code, fwd, bwd) = records::encode_mode(Some(mode));
@@ -1006,8 +856,11 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             w_res.commit(ctx);
             r_src.commit(ctx);
             ctx.compute(cost.per_mb);
+            t.mv_pred = mv_pred;
+            t.sad_evals += evals as u64;
             t.inner.ref_bytes_fetched += fetch_bytes;
             t.inner.mbs_done += 1;
+            t.inner.errors_recovered += missing_ref as u64;
             t.inner.mb_index += 1;
             if t.inner.mb_index == pic.mb_count() {
                 if pic.ptype != PictureType::B {
@@ -1020,7 +873,16 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             }
             StepResult::Done
         }
-        other => panic!("me: unexpected tag {other:#x} on source stream"),
+        _ => {
+            // Unknown tag (bit-flipped in SRAM): skip one byte and
+            // rescan for the next plausible record boundary.
+            let mut b = [0u8; 1];
+            r_src.read(ctx, &mut b);
+            r_src.commit(ctx);
+            ctx.compute(1);
+            t.inner.errors_recovered += 1;
+            StepResult::Done
+        }
     }
 }
 
@@ -1053,7 +915,14 @@ fn step_recon(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResul
                 None => return StepResult::Blocked,
                 Some(b) => b,
             };
-            let pic = PicRec::from_body(&body[1..]).expect("bad PIC record");
+            let Some(pic) = PicRec::from_body(&body[1..]).filter(|p| t.cfg.fits(p)) else {
+                // Damaged in SRAM: drop it; its macroblocks take the
+                // MB-without-PIC path.
+                r.commit(ctx);
+                ctx.compute(1);
+                t.errors_recovered += 1;
+                return StepResult::Done;
+            };
             r.commit(ctx);
             ctx.compute(8);
             t.write_slot = if pic.ptype == PictureType::B {
@@ -1066,13 +935,20 @@ fn step_recon(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResul
             StepResult::Done
         }
         TAG_MB => {
-            let pic = t.pic.expect("MB before PIC on recon stream");
             let hdr = match r.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
                 None => return StepResult::Blocked,
                 Some(b) => b,
             };
-            let (mode_code, cbp, fwd, bwd) = mbmv_from_body(&hdr[1..]).unwrap();
+            let (mode_code, cbp, fwd, bwd) = mbmv_from_body(&hdr[1..]).unwrap_or((
+                records::mode::INTRA,
+                hdr[2],
+                MotionVector::default(),
+                MotionVector::default(),
+            ));
+            // Consume the residual blocks the cbp claims, so the stream
+            // stays record-aligned whatever happens to the macroblock.
             let mut residuals = [[0i16; 64]; 6];
+            let mut bad_residual = false;
             for (blk, res) in residuals.iter_mut().enumerate() {
                 if cbp & (1 << (5 - blk)) == 0 {
                     continue;
@@ -1081,8 +957,20 @@ fn step_recon(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResul
                     None => return StepResult::Blocked,
                     Some(b) => b,
                 };
-                *res = cblk_from_body(&rec[1..]).unwrap();
+                match cblk_from_body(&rec[1..]) {
+                    Some(block) if rec[0] == TAG_MB => *res = block,
+                    // Desynced residual record: substitute zeros.
+                    _ => bad_residual = true,
+                }
             }
+            let Some(pic) = t.pic else {
+                // MB with no live picture (its PIC record was dropped):
+                // the bytes are consumed, nothing is written.
+                r.commit(ctx);
+                ctx.compute(1);
+                t.errors_recovered += 1;
+                return StepResult::Done;
+            };
             let is_b = pic.ptype == PictureType::B;
             let last_mb = t.mb_index + 1 == pic.mb_count();
             if !is_b {
@@ -1100,7 +988,9 @@ fn step_recon(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResul
                         } else {
                             0
                         };
-                        recon[blk][i] = (pred[blk][i] + resid).clamp(0, 255);
+                        // Saturating: a residual damaged in SRAM can be
+                        // any i16.
+                        recon[blk][i] = pred[blk][i].saturating_add(resid).clamp(0, 255);
                     }
                 }
                 // Reserve feedback room before irreversible writes.
@@ -1122,6 +1012,7 @@ fn step_recon(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResul
             }
             r.commit(ctx);
             t.mbs_done += 1;
+            t.errors_recovered += bad_residual as u64;
             t.mb_index += 1;
             if last_mb {
                 if !is_b {
@@ -1131,7 +1022,16 @@ fn step_recon(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResul
             }
             StepResult::Done
         }
-        other => panic!("recon: unexpected tag {other:#x}"),
+        _ => {
+            // Unknown tag (bit-flipped in SRAM): skip one byte and
+            // rescan for the next plausible record boundary.
+            let mut b = [0u8; 1];
+            r.read(ctx, &mut b);
+            r.commit(ctx);
+            ctx.compute(1);
+            t.errors_recovered += 1;
+            StepResult::Done
+        }
     }
 }
 

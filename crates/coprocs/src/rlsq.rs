@@ -32,6 +32,10 @@ use crate::io::{StepReader, StepWriter};
 use crate::records::{self, cblk_from_body, cblk_to_bytes, PicRec, TAG_EOS, TAG_MB, TAG_PIC};
 use crate::snap;
 
+/// Quantizer scale for macroblocks that arrive before any valid PIC
+/// record on a damaged stream (the output is concealment fodder anyway).
+const DEFAULT_QSCALE: u8 = 8;
+
 /// Which RLSQ function a task performs (from the task's function name).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Function {
@@ -52,8 +56,8 @@ struct RlsqTask {
     /// Statistics.
     coefs_processed: u64,
     blocks_processed: u64,
-    /// Decode-path records that arrived damaged (SRAM faults upstream)
-    /// and were skipped or zero-substituted instead of crashing.
+    /// Records that arrived damaged (SRAM faults upstream) and were
+    /// skipped or zero-substituted instead of crashing.
     errors_recovered: u64,
 }
 
@@ -253,7 +257,7 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
             // crashing (the output is concealment fodder anyway).
             let (qscale, mut errs) = match t.pic {
                 Some(pic) => (pic.qscale, 0u64),
-                None => (8, 1),
+                None => (DEFAULT_QSCALE, 1),
             };
             let hdr = match r.take::<{ records::MB_REC_BYTES as usize }>(ctx) {
                 None => return StepResult::Blocked,
@@ -345,17 +349,7 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
             t.errors_recovered += errs;
             StepResult::Done
         }
-        other => {
-            // Unknown tag (bit-flipped in SRAM): skip one byte and rescan
-            // for the next plausible record boundary.
-            let _ = other;
-            let mut b = [0u8; 1];
-            r.read(ctx, &mut b);
-            r.commit(ctx);
-            ctx.compute(1);
-            t.errors_recovered += 1;
-            StepResult::Done
-        }
+        _ => skip_byte(t, r, ctx),
     }
 }
 
@@ -395,7 +389,14 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
                 None => return StepResult::Blocked,
                 Some(b) => b,
             };
-            let pic = PicRec::from_body(&body[1..]).expect("bad PIC record");
+            let Some(pic) = PicRec::from_body(&body[1..]) else {
+                // Damaged in SRAM: drop it and keep the previous picture
+                // context.
+                r_mb.commit(ctx);
+                ctx.compute(1);
+                t.errors_recovered += 1;
+                return StepResult::Done;
+            };
             // Forward the picture header on both outputs.
             let mut w_tok = StepWriter::new(OUT_TOKEN);
             let mut w_lvl = StepWriter::new(OUT_LEVELS);
@@ -413,7 +414,12 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
             StepResult::Done
         }
         TAG_MB => {
-            let pic = t.pic.expect("MB before PIC on mb stream");
+            // A damaged stream can deliver an MB record before any valid
+            // PIC record: quantize with a default scale instead.
+            let (qscale, mut errs) = match t.pic {
+                Some(pic) => (pic.qscale, 0u64),
+                None => (DEFAULT_QSCALE, 1),
+            };
             let hdr = match r_mb.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
                 None => return StepResult::Blocked,
                 Some(b) => b,
@@ -433,12 +439,18 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
                     None => return StepResult::Blocked,
                     Some(b) => b,
                 };
-                assert_eq!(rec[0], TAG_MB, "qrl expects coefficient blocks");
-                let coefs = cblk_from_body(&rec[1..]).unwrap();
+                let coefs = match cblk_from_body(&rec[1..]) {
+                    Some(coefs) if rec[0] == TAG_MB => coefs,
+                    // Desynced coefficient record: substitute zeros.
+                    _ => {
+                        errs += 1;
+                        [0i16; 64]
+                    }
+                };
                 let levels = if intra {
-                    quant_intra(&coefs, pic.qscale)
+                    quant_intra(&coefs, qscale)
                 } else {
-                    quant_inter(&coefs, pic.qscale)
+                    quant_inter(&coefs, qscale)
                 };
                 let coded = if intra {
                     true
@@ -502,9 +514,10 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
             ctx.compute(cycles);
             t.dc_pred = dc_pred;
             t.blocks_processed += symbol_sets.len() as u64;
+            t.errors_recovered += errs;
             StepResult::Done
         }
-        other => panic!("qrl: unexpected tag {other:#x}"),
+        _ => skip_byte(t, r_mb, ctx),
     }
 }
 
@@ -535,7 +548,14 @@ fn step_iq(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResu
                 None => return StepResult::Blocked,
                 Some(b) => b,
             };
-            let pic = PicRec::from_body(&body[1..]).expect("bad PIC record");
+            let Some(pic) = PicRec::from_body(&body[1..]) else {
+                // Damaged in SRAM: drop it and keep the previous picture
+                // context.
+                r.commit(ctx);
+                ctx.compute(1);
+                t.errors_recovered += 1;
+                return StepResult::Done;
+            };
             // Forward downstream (the IDCT/RECON need picture context).
             let mut w = StepWriter::new(OUT);
             w.stage(&body);
@@ -549,7 +569,10 @@ fn step_iq(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResu
             StepResult::Done
         }
         TAG_MB => {
-            let pic = t.pic.expect("MB before PIC on levels stream");
+            let (qscale, mut errs) = match t.pic {
+                Some(pic) => (pic.qscale, 0u64),
+                None => (DEFAULT_QSCALE, 1),
+            };
             let hdr = match r.take::<{ records::MBMV_REC_BYTES as usize }>(ctx) {
                 None => return StepResult::Blocked,
                 Some(b) => b,
@@ -568,11 +591,18 @@ fn step_iq(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResu
                     None => return StepResult::Blocked,
                     Some(b) => b,
                 };
-                let levels = cblk_from_body(&rec[1..]).unwrap();
+                let levels = match cblk_from_body(&rec[1..]) {
+                    Some(levels) if rec[0] == TAG_MB => levels,
+                    // Desynced level record: substitute zeros.
+                    _ => {
+                        errs += 1;
+                        [0i16; 64]
+                    }
+                };
                 let coefs = if intra {
-                    dequant_intra(&levels, pic.qscale)
+                    dequant_intra(&levels, qscale)
                 } else {
-                    dequant_inter(&levels, pic.qscale)
+                    dequant_inter(&levels, qscale)
                 };
                 w.stage(&cblk_to_bytes(&coefs));
                 let nz = levels.iter().filter(|&&l| l != 0).count() as u64;
@@ -586,8 +616,20 @@ fn step_iq(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResu
             w.commit(ctx);
             r.commit(ctx);
             ctx.compute(cycles);
+            t.errors_recovered += errs;
             StepResult::Done
         }
-        other => panic!("iq: unexpected tag {other:#x}"),
+        _ => skip_byte(t, r, ctx),
     }
+}
+
+/// Unknown tag (bit-flipped in SRAM): skip one byte and rescan for the
+/// next plausible record boundary.
+fn skip_byte(t: &mut RlsqTask, mut r: StepReader, ctx: &mut StepCtx<'_>) -> StepResult {
+    let mut b = [0u8; 1];
+    r.read(ctx, &mut b);
+    r.commit(ctx);
+    ctx.compute(1);
+    t.errors_recovered += 1;
+    StepResult::Done
 }

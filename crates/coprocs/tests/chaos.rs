@@ -161,3 +161,56 @@ fn tail_corruption_still_finishes_and_displays_leading_frames() {
         );
     }
 }
+
+/// SRAM bit flips anywhere in the encode pipeline (source → ME → FDCT →
+/// QRL → VLE, and the IQ → IDCT → RECON loop) must never panic: every
+/// damaged record is skipped or substituted and counted, and each run
+/// finishes or ends in a diagnosed deadlock.
+#[test]
+fn sram_flips_in_the_encode_pipeline_never_panic() {
+    use eclipse_coprocs::apps::EncodeAppConfig;
+    let frames = SyntheticSource::new(SourceConfig {
+        width: 48,
+        height: 32,
+        complexity: 0.3,
+        motion: 1.5,
+        seed: 33,
+    })
+    .frames(7);
+    let run = |plan: Option<FaultPlan>| {
+        let mut b = MpegBuilder::new(EclipseConfig::default(), InstanceCosts::default());
+        b.add_encode(
+            "enc0",
+            frames.clone(),
+            GopConfig { n: 12, m: 3 },
+            6,
+            7,
+            EncodeAppConfig::default(),
+        );
+        let mut sys = b.build();
+        if let Some(plan) = plan {
+            sys.sys.inject_faults(plan);
+        }
+        sys.sys.set_watchdog(5_000_000);
+        sys.run(2_000_000_000)
+    };
+    let clean = run(None);
+    assert_eq!(clean.outcome, RunOutcome::AllFinished);
+    assert_eq!(clean.media_errors, 0, "a clean encode reports no damage");
+    let mut damaged_runs = 0;
+    for seed in 0..40u64 {
+        let summary = run(Some(FaultPlan {
+            sram_flip_rate: 0.002,
+            ..FaultPlan::with_seed(seed)
+        }));
+        match &summary.outcome {
+            RunOutcome::AllFinished => {}
+            RunOutcome::Deadlock(blocked) => {
+                assert!(!blocked.is_empty(), "seed {seed}: undiagnosed deadlock")
+            }
+            other => panic!("seed {seed}: encode must terminate, got {other:?}"),
+        }
+        damaged_runs += (summary.media_errors > 0) as u32;
+    }
+    assert!(damaged_runs > 0, "some flips must be detected and counted");
+}

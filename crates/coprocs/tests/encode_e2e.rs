@@ -138,3 +138,66 @@ fn simultaneous_encode_and_decode_share_the_coprocessors() {
         "expected task switches on the DCT"
     );
 }
+
+/// Encode `frames` on the Eclipse instance and with the software
+/// `Encoder` under the same parameters; return both bitstreams.
+fn eclipse_and_software_streams(
+    frames: &[eclipse_media::Frame],
+    gop: GopConfig,
+    qscale: u8,
+    search_range: u8,
+) -> (Vec<u8>, Vec<u8>) {
+    let mut b = MpegBuilder::new(EclipseConfig::default(), InstanceCosts::default());
+    b.add_encode(
+        "enc0",
+        frames.to_vec(),
+        gop,
+        qscale,
+        search_range,
+        EncodeAppConfig::default(),
+    );
+    let mut sys = b.build();
+    let summary = sys.run(2_000_000_000);
+    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    let eclipse = sys.encoded_bytes("enc0").unwrap();
+    let software = eclipse_media::Encoder::new(eclipse_media::EncoderConfig {
+        width: frames[0].width,
+        height: frames[0].height,
+        qscale,
+        gop,
+        search_range,
+    })
+    .encode(frames)
+    .0;
+    (eclipse, software)
+}
+
+/// Kahn determinism, end to end: the encode graph's output stream does
+/// not depend on how the coprocessors interleave, so the Eclipse encoder
+/// (windowed ME on the MC/ME coprocessor, quantization on the RLSQ, ...)
+/// must emit exactly the software `Encoder`'s bytes.
+#[test]
+fn eclipse_encoder_matches_software_encoder_byte_for_byte() {
+    let cases: [(usize, usize, u16, GopConfig, u8); 3] = [
+        // IPPP.
+        (48, 32, 6, GopConfig { n: 6, m: 1 }, 7),
+        // IBBP.
+        (48, 32, 7, GopConfig { n: 12, m: 3 }, 7),
+        // 2×2 macroblocks, range 15: every macroblock is an edge one and
+        // most of every search window is replicated frame edge.
+        (32, 32, 7, GopConfig { n: 12, m: 3 }, 15),
+    ];
+    for (i, &(w, h, n, gop, range)) in cases.iter().enumerate() {
+        let frames = source_frames(w, h, n, 40 + i as u64);
+        let (eclipse, software) = eclipse_and_software_streams(&frames, gop, 6, range);
+        assert!(!software.is_empty());
+        assert!(
+            eclipse == software,
+            "case {i}: {}x{} {gop:?} r{range}: Eclipse {} bytes vs software {} bytes",
+            w,
+            h,
+            eclipse.len(),
+            software.len()
+        );
+    }
+}

@@ -10,7 +10,10 @@
 use crate::bits::BitWriter;
 use crate::dct::fdct2d;
 use crate::frame::{Frame, BLOCKS_PER_MB};
-use crate::motion::{predict_macroblock, three_step_search_pred, MotionVector, PredictionMode};
+use crate::motion::{
+    intra_activity, luma_sad, predict_macroblock, three_step_search_pred, MotionVector,
+    PredictionMode,
+};
 use crate::quant::{quant_inter, quant_intra};
 use crate::recon::reconstruct_mb;
 use crate::scan::rle_encode;
@@ -291,7 +294,7 @@ impl Encoder {
                     mbx,
                     mby,
                 );
-                let bi_sad = sad_against(&cur_blocks, &bi_pred);
+                let bi_sad = luma_sad(&cur_blocks, &bi_pred);
                 let best = fsad.min(bsad).min(bi_sad);
                 if best >= intra_activity(&cur_blocks) {
                     PredictionMode::Intra
@@ -391,36 +394,6 @@ pub(crate) fn dc_component(blk: usize) -> usize {
         4 => 1,
         _ => 2,
     }
-}
-
-/// Intra activity measure: luma SAD against the macroblock mean —
-/// the classic cheap intra/inter decision threshold.
-fn intra_activity(blocks: &[[i16; 64]; BLOCKS_PER_MB]) -> u32 {
-    let mut sum: i64 = 0;
-    for blk in blocks.iter().take(4) {
-        for &v in blk.iter() {
-            sum += v as i64;
-        }
-    }
-    let mean = (sum / 256) as i16;
-    let mut act: u32 = 0;
-    for blk in blocks.iter().take(4) {
-        for &v in blk.iter() {
-            act += (v - mean).unsigned_abs() as u32;
-        }
-    }
-    act
-}
-
-/// Luma SAD between a macroblock and a prediction (for the bi decision).
-fn sad_against(cur: &[[i16; 64]; BLOCKS_PER_MB], pred: &[[i16; 64]; BLOCKS_PER_MB]) -> u32 {
-    let mut sad: u32 = 0;
-    for blk in 0..4 {
-        for i in 0..64 {
-            sad += (cur[blk][i] - pred[blk][i]).unsigned_abs() as u32;
-        }
-    }
-    sad
 }
 
 #[cfg(test)]

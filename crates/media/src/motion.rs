@@ -86,25 +86,223 @@ pub enum PredictionMode {
     Bidirectional(MotionVector, MotionVector),
 }
 
-/// Sum of absolute differences between the 16×16 luma macroblock at
-/// (mbx, mby) of `cur` and the (possibly out-of-bounds, edge-clamped)
-/// block displaced by `mv` in `reference`.
-pub fn sad_16x16(cur: &Frame, reference: &Frame, mbx: usize, mby: usize, mv: MotionVector) -> u32 {
-    let x0 = (mbx * MB_SIZE) as i32;
-    let y0 = (mby * MB_SIZE) as i32;
-    let mut sad: u32 = 0;
-    for y in 0..MB_SIZE as i32 {
-        for x in 0..MB_SIZE as i32 {
-            let c = cur.y.get((x0 + x) as usize, (y0 + y) as usize) as i32;
-            let r = sample_half(
-                &reference.y,
-                (x0 + x) * 2 + mv.dx as i32,
-                (y0 + y) * 2 + mv.dy as i32,
-            ) as i32;
-            sad += (c - r).unsigned_abs();
+/// Luma samples of a macroblock in raster order: the source operand of
+/// [`SearchWindow::sad`].
+pub type MbLuma = [u8; MB_SIZE * MB_SIZE];
+
+/// The 16×16 luma of macroblock (mbx, mby) of `frame`, raster order.
+pub fn mb_luma(frame: &Frame, mbx: usize, mby: usize) -> MbLuma {
+    let mut out = [0u8; MB_SIZE * MB_SIZE];
+    let (x0, y0) = (mbx * MB_SIZE, mby * MB_SIZE);
+    for (y, row) in out.chunks_exact_mut(MB_SIZE).enumerate() {
+        let at = (y0 + y) * frame.y.width + x0;
+        row.copy_from_slice(&frame.y.data[at..at + MB_SIZE]);
+    }
+    out
+}
+
+/// The luma of a macroblock given as its four 8×8 luma blocks (blocks
+/// 0–3 of a [`BLOCKS_PER_MB`] set), in raster order. Samples are clamped
+/// to the pixel range.
+pub fn mb_luma_from_blocks(blocks: &[[i16; 64]; BLOCKS_PER_MB]) -> MbLuma {
+    let mut out = [0u8; MB_SIZE * MB_SIZE];
+    for (i, v) in out.iter_mut().enumerate() {
+        let (x, y) = (i % MB_SIZE, i / MB_SIZE);
+        *v = blocks[y / 8 * 2 + x / 8][(y % 8) * 8 + x % 8].clamp(0, 255) as u8;
+    }
+    out
+}
+
+/// The luma search window of one macroblock: every reference sample a
+/// clamped search vector can reach, edge-replicated once so the SAD
+/// kernel never clamps.
+///
+/// Vectors are clamped to ±(2·range+1) half-pels, so the integer part of
+/// a sample reaches `range+1` full pels above and left of the macroblock
+/// and `range` pels below and right of it; half-pel interpolation reads
+/// one sample further. The window is therefore the macroblock ±(range+1)
+/// full pels, `2·range+18` samples square, with the macroblock origin at
+/// `(range+1, range+1)`.
+///
+/// Samples inside the frame are copied; the rest replicate the nearest
+/// frame edge. Clamping is separable and monotonic, so that equals
+/// clamping each coordinate to the frame, the MPEG edge rule of
+/// [`sample_half`].
+#[derive(Debug, Clone)]
+pub struct SearchWindow {
+    range: u8,
+    /// Frame coordinates of window sample (0, 0); may be negative.
+    x0: i32,
+    y0: i32,
+    /// Side length and row stride.
+    side: usize,
+    /// The window ∩ frame rectangle, in window coordinates.
+    inner: (usize, usize, usize, usize),
+    data: Vec<u8>,
+}
+
+impl SearchWindow {
+    /// An unfilled window for macroblock (mbx, mby) of a `width`×`height`
+    /// frame. Fill its part inside the frame with
+    /// [`put_tile`](Self::put_tile), then call [`pad`](Self::pad).
+    pub fn new(width: usize, height: usize, mbx: usize, mby: usize, range: u8) -> Self {
+        let margin = range as i32 + 1;
+        let side = MB_SIZE + 2 * margin as usize;
+        let x0 = (mbx * MB_SIZE) as i32 - margin;
+        let y0 = (mby * MB_SIZE) as i32 - margin;
+        let clip = |o: i32, len: usize| {
+            let lo = (-o).max(0) as usize;
+            let hi = (len as i32 - o).clamp(0, side as i32) as usize;
+            (lo, hi.max(lo))
+        };
+        let (ix0, ix1) = clip(x0, width);
+        let (iy0, iy1) = clip(y0, height);
+        SearchWindow {
+            range,
+            x0,
+            y0,
+            side,
+            inner: (ix0, iy0, ix1, iy1),
+            data: vec![0; side * side],
         }
     }
-    sad
+
+    /// The window for macroblock (mbx, mby) over `plane`.
+    pub fn from_plane(plane: &Plane, mbx: usize, mby: usize, range: u8) -> Self {
+        let mut win = SearchWindow::new(plane.width, plane.height, mbx, mby, range);
+        let (ix0, iy0, ix1, iy1) = win.inner;
+        for wy in iy0..iy1 {
+            let at = (win.y0 + wy as i32) as usize * plane.width + (win.x0 + ix0 as i32) as usize;
+            win.data[wy * win.side + ix0..wy * win.side + ix1]
+                .copy_from_slice(&plane.data[at..at + ix1 - ix0]);
+        }
+        win.pad();
+        win
+    }
+
+    /// Store the 8×8 frame tile whose top-left sample is `(tx, ty)`;
+    /// samples outside the window or the frame are ignored.
+    pub fn put_tile(&mut self, tx: i32, ty: i32, tile: &[i16; 64]) {
+        let (ix0, iy0, ix1, iy1) = self.inner;
+        let (x_lo, x_hi) = (self.x0 + ix0 as i32, self.x0 + ix1 as i32);
+        let (y_lo, y_hi) = (self.y0 + iy0 as i32, self.y0 + iy1 as i32);
+        for y in ty.max(y_lo)..(ty + 8).min(y_hi) {
+            let row = (y - self.y0) as usize * self.side;
+            for x in tx.max(x_lo)..(tx + 8).min(x_hi) {
+                self.data[row + (x - self.x0) as usize] =
+                    tile[((y - ty) * 8 + x - tx) as usize].clamp(0, 255) as u8;
+            }
+        }
+    }
+
+    /// Replicate the frame edges into the part of the window outside the
+    /// frame. Call once, after the frame rectangle is filled.
+    pub fn pad(&mut self) {
+        let (ix0, iy0, ix1, iy1) = self.inner;
+        let side = self.side;
+        for wy in iy0..iy1 {
+            let row = &mut self.data[wy * side..(wy + 1) * side];
+            let (left, right) = (row[ix0], row[ix1 - 1]);
+            row[..ix0].fill(left);
+            row[ix1..].fill(right);
+        }
+        for wy in 0..iy0 {
+            self.data
+                .copy_within(iy0 * side..(iy0 + 1) * side, wy * side);
+        }
+        for wy in iy1..side {
+            self.data
+                .copy_within((iy1 - 1) * side..iy1 * side, wy * side);
+        }
+    }
+
+    /// SAD of `src` against the window displaced by the half-pel vector
+    /// `mv`, with MPEG half-pel rounding. `mv` must lie within
+    /// ±(2·range+1) half-pels on both axes.
+    pub fn sad(&self, src: &MbLuma, mv: MotionVector) -> u32 {
+        let limit = 2 * self.range as i32 + 1;
+        let (dx, dy) = (mv.dx as i32, mv.dy as i32);
+        assert!(
+            dx.abs() <= limit && dy.abs() <= limit,
+            "vector {mv:?} outside search range {}",
+            self.range
+        );
+        let margin = self.range as i32 + 1;
+        let base = (margin + (dy >> 1)) as usize * self.side + (margin + (dx >> 1)) as usize;
+        // Row `y` at the integer position, 17 samples wide: the 17th is
+        // the right neighbour horizontal interpolation reads.
+        let row = |y: usize| -> &[u8; MB_SIZE + 1] {
+            let at = base + y * self.side;
+            self.data[at..]
+                .first_chunk()
+                .expect("the window holds 17 samples past every vector's row start")
+        };
+        let src = src
+            .chunks_exact(MB_SIZE)
+            .map(|r| -> &[u8; MB_SIZE] { r.try_into().expect("16-sample chunks") });
+        // One branch-free loop per half-pel phase.
+        match (dx & 1, dy & 1) {
+            (0, 0) => src
+                .enumerate()
+                .map(|(y, cur)| {
+                    let a = row(y);
+                    row_sad(cur, |x| a[x])
+                })
+                .sum(),
+            (1, 0) => src
+                .enumerate()
+                .map(|(y, cur)| {
+                    let a = row(y);
+                    row_sad(cur, |x| avg2(a[x], a[x + 1]))
+                })
+                .sum(),
+            (0, 1) => src
+                .enumerate()
+                .map(|(y, cur)| {
+                    let (a, c) = (row(y), row(y + 1));
+                    row_sad(cur, |x| avg2(a[x], c[x]))
+                })
+                .sum(),
+            _ => src
+                .enumerate()
+                .map(|(y, cur)| {
+                    let (a, c) = (row(y), row(y + 1));
+                    row_sad(cur, |x| avg4(a[x], a[x + 1], c[x], c[x + 1]))
+                })
+                .sum(),
+        }
+    }
+
+    /// Predictor-seeded three-step search plus half-pel refinement over
+    /// this window; see [`three_step_search_pred`]. Returns (half-pel
+    /// vector, SAD, SAD evaluations).
+    pub fn search(&self, src: &MbLuma, candidates: &[MotionVector]) -> (MotionVector, u32, u32) {
+        three_step(self.range, candidates, |mv| self.sad(src, mv))
+    }
+}
+
+/// SAD of one 16-sample source row against a predicted row.
+#[inline(always)]
+fn row_sad(cur: &[u8; MB_SIZE], pred: impl Fn(usize) -> u8) -> u32 {
+    let mut p = [0u8; MB_SIZE];
+    for (x, v) in p.iter_mut().enumerate() {
+        *v = pred(x);
+    }
+    let mut sad = 0u16;
+    for x in 0..MB_SIZE {
+        sad += cur[x].abs_diff(p[x]) as u16;
+    }
+    sad as u32
+}
+
+#[inline(always)]
+fn avg2(a: u8, b: u8) -> u8 {
+    ((a as u16 + b as u16 + 1) >> 1) as u8
+}
+
+#[inline(always)]
+fn avg4(a: u8, b: u8, c: u8, d: u8) -> u8 {
+    ((a as u16 + b as u16 + c as u16 + d as u16 + 2) >> 2) as u8
 }
 
 /// Three-step logarithmic search around the zero vector. Returns the best
@@ -128,6 +326,8 @@ pub fn three_step_search(
 /// logarithmic search gets trapped, which is why real encoders seed the
 /// search with neighbouring vectors. The best candidate becomes the
 /// refinement centre.
+///
+/// Runs [`SearchWindow::search`] over the window of `reference`'s luma.
 pub fn three_step_search_pred(
     cur: &Frame,
     reference: &Frame,
@@ -135,6 +335,16 @@ pub fn three_step_search_pred(
     mby: usize,
     range: u8,
     candidates: &[MotionVector],
+) -> (MotionVector, u32, u32) {
+    SearchWindow::from_plane(&reference.y, mbx, mby, range)
+        .search(&mb_luma(cur, mbx, mby), candidates)
+}
+
+/// The search itself, over any SAD function of a half-pel vector.
+fn three_step(
+    range: u8,
+    candidates: &[MotionVector],
+    mut sad_of: impl FnMut(MotionVector) -> u32,
 ) -> (MotionVector, u32, u32) {
     // Vectors are half-pel; the coarse search walks the full-pel lattice
     // (even components), then a final pass refines to half-pel — the
@@ -145,22 +355,21 @@ pub fn three_step_search_pred(
         dy: v.dy.clamp(-limit, limit),
     };
     let mut best = clamp(*candidates.first().unwrap_or(&MotionVector::default()));
-    let mut best_sad = sad_16x16(cur, reference, mbx, mby, best);
+    let mut best_sad = sad_of(best);
     let mut evals: u32 = 1;
-    let consider =
-        |cand: MotionVector, best: &mut MotionVector, best_sad: &mut u32, evals: &mut u32| {
-            if cand == *best {
-                return;
-            }
-            let sad = sad_16x16(cur, reference, mbx, mby, cand);
-            *evals += 1;
-            if sad < *best_sad || (sad == *best_sad && (cand.dx, cand.dy) < (best.dx, best.dy)) {
-                *best_sad = sad;
-                *best = cand;
-            }
-        };
+    let mut consider = |cand: MotionVector, best: &mut MotionVector, best_sad: &mut u32| {
+        if cand == *best {
+            return;
+        }
+        let sad = sad_of(cand);
+        evals += 1;
+        if sad < *best_sad || (sad == *best_sad && (cand.dx, cand.dy) < (best.dx, best.dy)) {
+            *best_sad = sad;
+            *best = cand;
+        }
+    };
     for &cand in candidates.iter().skip(1) {
-        consider(clamp(cand), &mut best, &mut best_sad, &mut evals);
+        consider(clamp(cand), &mut best, &mut best_sad);
     }
     let mut step = ((range.max(1) as u16).next_power_of_two()) as i16; // full-pel step in half-pel units
     while step >= 2 {
@@ -174,7 +383,7 @@ pub fn three_step_search_pred(
                     dx: center.dx + dx,
                     dy: center.dy + dy,
                 });
-                consider(cand, &mut best, &mut best_sad, &mut evals);
+                consider(cand, &mut best, &mut best_sad);
             }
         }
         step /= 2;
@@ -190,10 +399,40 @@ pub fn three_step_search_pred(
                 dx: center.dx + dx,
                 dy: center.dy + dy,
             });
-            consider(cand, &mut best, &mut best_sad, &mut evals);
+            consider(cand, &mut best, &mut best_sad);
         }
     }
     (best, best_sad, evals)
+}
+
+/// Intra activity: luma SAD against the macroblock mean — the classic
+/// cheap intra/inter decision threshold.
+pub fn intra_activity(blocks: &[[i16; 64]; BLOCKS_PER_MB]) -> u32 {
+    let mut sum: i64 = 0;
+    for blk in blocks.iter().take(4) {
+        for &v in blk.iter() {
+            sum += v as i64;
+        }
+    }
+    let mean = (sum / 256) as i16;
+    let mut act: u32 = 0;
+    for blk in blocks.iter().take(4) {
+        for &v in blk.iter() {
+            act += (v - mean).unsigned_abs() as u32;
+        }
+    }
+    act
+}
+
+/// Luma SAD between a macroblock and a prediction, both as block sets.
+pub fn luma_sad(cur: &[[i16; 64]; BLOCKS_PER_MB], pred: &[[i16; 64]; BLOCKS_PER_MB]) -> u32 {
+    let mut sad: u32 = 0;
+    for blk in 0..4 {
+        for i in 0..64 {
+            sad += (cur[blk][i] - pred[blk][i]).unsigned_abs() as u32;
+        }
+    }
+    sad
 }
 
 /// Build the six 8×8 prediction blocks for macroblock (mbx, mby) using
@@ -309,6 +548,109 @@ pub fn mc_fetch_bytes(mode: PredictionMode) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-pixel reference the window kernel replaced: SAD of the
+    /// 16×16 luma macroblock at (mbx, mby) of `cur` against `reference`
+    /// displaced by `mv`, every sample edge-clamped through
+    /// [`sample_half`].
+    fn sad_16x16(cur: &Frame, reference: &Frame, mbx: usize, mby: usize, mv: MotionVector) -> u32 {
+        let x0 = (mbx * MB_SIZE) as i32;
+        let y0 = (mby * MB_SIZE) as i32;
+        let mut sad: u32 = 0;
+        for y in 0..MB_SIZE as i32 {
+            for x in 0..MB_SIZE as i32 {
+                let c = cur.y.get((x0 + x) as usize, (y0 + y) as usize) as i32;
+                let r = sample_half(
+                    &reference.y,
+                    (x0 + x) * 2 + mv.dx as i32,
+                    (y0 + y) * 2 + mv.dy as i32,
+                ) as i32;
+                sad += (c - r).unsigned_abs();
+            }
+        }
+        sad
+    }
+
+    /// A frame of `mbs_x`×`mbs_y` macroblocks filled from an LCG.
+    fn random_frame(mbs_x: usize, mbs_y: usize, seed: u64) -> Frame {
+        let mut f = Frame::new(mbs_x * MB_SIZE, mbs_y * MB_SIZE);
+        let mut h = seed | 1;
+        for p in f.y.data.iter_mut() {
+            h = h
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            *p = (h >> 56) as u8;
+        }
+        f
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The window kernel equals the per-pixel clamped SAD at every
+        /// macroblock (corners and edges included), in all four half-pel
+        /// phases, out to the ±(2r+1) clamp limit; the search over it
+        /// returns the reference search's (mv, sad, evals).
+        #[test]
+        fn window_kernel_matches_clamped_reference(
+            mbs_x in 1usize..=4,
+            mbs_y in 1usize..=3,
+            range in 1u8..=15,
+            seed in any::<u64>(),
+            extra in proptest::collection::vec((-31i16..=31, -31i16..=31), 4),
+        ) {
+            let reference = random_frame(mbs_x, mbs_y, seed);
+            let cur = random_frame(mbs_x, mbs_y, seed ^ 0x5A5A);
+            let limit = 2 * range as i16 + 1;
+            let axis = [-limit, -limit + 1, -2, -1, 0, 1, 2, limit - 1, limit];
+            for mby in 0..mbs_y {
+                for mbx in 0..mbs_x {
+                    let win = SearchWindow::from_plane(&reference.y, mbx, mby, range);
+                    let src = mb_luma(&cur, mbx, mby);
+                    let clamp = |v: i16| v.clamp(-limit, limit);
+                    let lattice = axis.iter().flat_map(|&dy| axis.iter().map(move |&dx| (dx, dy)));
+                    for (dx, dy) in lattice.chain(extra.iter().map(|&(dx, dy)| (clamp(dx), clamp(dy)))) {
+                        let mv = MotionVector { dx, dy };
+                        prop_assert_eq!(
+                            win.sad(&src, mv),
+                            sad_16x16(&cur, &reference, mbx, mby, mv),
+                            "mb ({}, {}) r {} mv {:?}", mbx, mby, range, mv
+                        );
+                    }
+                    let cands: Vec<MotionVector> = [(0, 0)]
+                        .iter()
+                        .chain(&extra)
+                        .map(|&(dx, dy)| MotionVector { dx, dy })
+                        .collect();
+                    let reference_search =
+                        three_step(range, &cands, |mv| sad_16x16(&cur, &reference, mbx, mby, mv));
+                    prop_assert_eq!(
+                        three_step_search_pred(&cur, &reference, mbx, mby, range, &cands),
+                        reference_search
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_from_tiles_equals_window_from_plane() {
+        let frame = random_frame(3, 2, 11);
+        for (mbx, mby) in [(0, 0), (2, 1), (1, 0)] {
+            let want = SearchWindow::from_plane(&frame.y, mbx, mby, 7);
+            let mut win = SearchWindow::new(48, 32, mbx, mby, 7);
+            for ty in (0..32).step_by(8) {
+                for tx in (0..48).step_by(8) {
+                    let mut tile = [0i16; 64];
+                    frame.y.get_block8(tx, ty, &mut tile);
+                    win.put_tile(tx as i32, ty as i32, &tile);
+                }
+            }
+            win.pad();
+            assert_eq!(win.data, want.data, "mb ({mbx}, {mby})");
+        }
+    }
 
     /// A frame with a bright 16x16 square whose top-left corner is (x, y).
     fn frame_with_square(x: usize, y: usize) -> Frame {

@@ -68,9 +68,25 @@ fn main() {
         watched.len()
     );
 
-    // Recording: the produced bitstream is valid and decodes with good
-    // quality.
+    // Recording: the produced bitstream is exactly what the software
+    // encoder makes of the same camera frames (Kahn determinism: the
+    // stream does not depend on how the shared units interleave), and it
+    // decodes with good quality.
     let recorded = sys.encoded_bytes("record").unwrap();
+    let (software, _) = Encoder::new(EncoderConfig {
+        width,
+        height,
+        qscale: 6,
+        gop,
+        search_range: 8,
+    })
+    .encode(&cam_frames);
+    assert!(
+        recorded == software,
+        "recorded stream ({} B) differs from the software encoder's ({} B)",
+        recorded.len(),
+        software.len()
+    );
     let playback = Decoder::decode(&recorded).expect("recorded stream is valid");
     let worst = playback
         .frames
@@ -79,7 +95,8 @@ fn main() {
         .map(|(d, s)| d.psnr_y(s))
         .fold(f64::INFINITY, f64::min);
     println!(
-        "encode side: {} frames -> {} kB, playback quality {:.1} dB (worst frame)",
+        "encode side: {} frames -> {} kB, byte-identical to the software encoder, \
+         playback quality {:.1} dB (worst frame)",
         playback.frames.len(),
         recorded.len() / 1024,
         worst
