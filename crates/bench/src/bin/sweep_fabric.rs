@@ -7,9 +7,9 @@
 //! contention vs. the XY-routed mesh with credit piggy-backing).
 //!
 //! The private-port rows also measure the price of timing independence:
-//! every access pays the static grant bound up front, which is exactly
-//! what buys the fabric its positive `min_grant_cycles()` and opens the
-//! intra-run parallel gate (see DESIGN.md §16).
+//! every access pays the static grant bound up front, and in exchange
+//! no shell's traffic can move another shell's grant (see DESIGN.md
+//! §16).
 //!
 //! The shared-bus + direct row is the committed baseline model; every
 //! other row answers a scaling question the template leaves open: how

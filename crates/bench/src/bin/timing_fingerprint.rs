@@ -49,35 +49,7 @@ fn digest(out: &mut String, label: &str, s: &RunSummary) {
     .unwrap();
 }
 
-/// `--parallel N`: route every run through the intra-run parallel path
-/// with N requested islands. The output must stay byte-identical to the
-/// sequential run — the CI parallel arm diffs the two.
-fn parallel_flag() -> Option<usize> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--parallel" {
-            let n = args
-                .next()
-                .and_then(|v| v.parse().ok())
-                .expect("--parallel needs a count");
-            return Some(n);
-        }
-    }
-    None
-}
-
-fn run_mode(sys: &mut eclipse_core::EclipseSystem, max: u64, par: Option<usize>) -> RunSummary {
-    match par {
-        Some(n) => {
-            sys.set_parallel_islands(n);
-            sys.run_parallel(max)
-        }
-        None => sys.run(max),
-    }
-}
-
 fn main() {
-    let par = parallel_flag();
     let mut out = String::new();
     let spec = StreamSpec::qcif();
     let (bitstream, _) = spec.encode();
@@ -85,7 +57,7 @@ fn main() {
     // Figure-10 QCIF decode, default configuration.
     {
         let mut dec = build_decode_system(EclipseConfig::default(), bitstream.clone());
-        let s = run_mode(&mut dec.system.sys, 20_000_000_000, par);
+        let s = dec.system.sys.run(20_000_000_000);
         digest(&mut out, "qcif_decode/default", &s);
         let (mut hits, mut misses, mut pf, mut wb, mut inv, mut stall) = (0, 0, 0, 0, 0, 0u64);
         for shell in dec.system.sys.shells() {
@@ -122,7 +94,7 @@ fn main() {
     {
         let cfg = EclipseConfig::default().with_cache(CacheConfig::with_lines(8, true));
         let mut dec = build_decode_system(cfg, bitstream.clone());
-        let s = run_mode(&mut dec.system.sys, 20_000_000_000, par);
+        let s = dec.system.sys.run(20_000_000_000);
         digest(&mut out, "sweep_cache/512B+prefetch", &s);
     }
 
@@ -130,7 +102,7 @@ fn main() {
     {
         let cfg = EclipseConfig::default().with_bus_width(8);
         let mut dec = build_decode_system(cfg, bitstream.clone());
-        let s = run_mode(&mut dec.system.sys, 20_000_000_000, par);
+        let s = dec.system.sys.run(20_000_000_000);
         digest(&mut out, "sweep_bus/width8", &s);
     }
 
@@ -144,7 +116,7 @@ fn main() {
         );
         b.add_decode("dec0", bitstream.clone(), bufs);
         let mut sys = b.build();
-        let s = run_mode(&mut sys.sys, 50_000_000_000, par);
+        let s = sys.sys.run(50_000_000_000);
         digest(&mut out, "sweep_coupling/0.7x", &s);
     }
 
@@ -180,7 +152,7 @@ fn main() {
         let graph = g.build().unwrap();
         b.map_app(&graph).unwrap();
         let mut sys = b.build();
-        let s = run_mode(&mut sys, 1_000_000_000, par);
+        let s = sys.run(1_000_000_000);
         digest(&mut out, label, &s);
     }
 
@@ -211,22 +183,15 @@ fn main() {
             EncodeAppConfig::default(),
         );
         let mut sys = b.build();
-        let s = run_mode(&mut sys.sys, 100_000_000_000, par);
+        let s = sys.sys.run(100_000_000_000);
         digest(&mut out, "sweep_scheduler/bestguess-2000", &s);
     }
 
-    // Open-gate point: two independent apps on the private-port crossbar
-    // — the one fabric whose static grant floor lets `--parallel` take
-    // the replicated-island path instead of the sequential fallback. The
-    // digest (and the final state hash) must not depend on which engine
-    // ran the workload.
+    // Open-gate point: two independent apps on the private-port crossbar,
+    // pinning that fabric's timing and the final state hash.
     {
-        let factory = || open_gate_system(2_000, 60);
-        let mut sys = factory();
-        if par.is_some() {
-            sys.set_replication(std::sync::Arc::new(factory));
-        }
-        let s = run_mode(&mut sys, 1_000_000_000, par);
+        let mut sys = open_gate_system(2_000, 60);
+        let s = sys.run(1_000_000_000);
         digest(&mut out, "open_gate/private-port-2apps", &s);
         writeln!(out, "state_hash: {:#018x}", sys.state_hash()).unwrap();
     }

@@ -25,10 +25,7 @@ pub mod microbench;
 pub mod sweep;
 pub mod synthetic;
 
-pub use sweep::{
-    par_sweep, sweep_threads, sweep_threads_with_islands, threads_flag, trace_annotation,
-    trace_flag,
-};
+pub use sweep::{par_sweep, sweep_threads, threads_flag, trace_annotation, trace_flag};
 
 use eclipse_media::encoder::{EncodeStats, Encoder, EncoderConfig};
 use eclipse_media::source::{SourceConfig, SyntheticSource};

@@ -11,10 +11,6 @@
 //! Pass `--threads N` to any sweep binary (or set `ECLIPSE_SWEEP_THREADS`;
 //! the flag wins) to override the default of one thread per available
 //! core — useful for timing comparisons and for debugging a single point.
-//! When the design points themselves run with intra-run parallelism
-//! (`--parallel` islands), size the pool with
-//! [`sweep_threads_with_islands`] so `sweep threads × islands per run`
-//! never oversubscribes the host.
 
 use eclipse_core::RunSummary;
 use eclipse_sim::SharedTraceSink;
@@ -49,22 +45,9 @@ pub fn threads_flag() -> Option<usize> {
 
 /// Number of worker threads for a sweep over `points` design points:
 /// the `--threads` flag if present, else `ECLIPSE_SWEEP_THREADS` if set,
-/// else one per available core — never more than there are points.
+/// else one per available core — never more than there are points, and
+/// never fewer than one.
 pub fn sweep_threads(points: usize) -> usize {
-    sweep_threads_with_islands(points, 1)
-}
-
-/// Like [`sweep_threads`], but for sweeps whose *individual runs* use
-/// `islands_per_run` simulation threads each ([`EclipseSystem::run_parallel`]
-/// islands): the host budget — explicit or detected — is divided by the
-/// per-run width so the two levels of parallelism compose without
-/// oversubscribing the machine. An explicit `--threads N` is interpreted
-/// as the *total* host-thread budget, same as the implicit core count.
-///
-/// [`EclipseSystem::run_parallel`]: eclipse_core::EclipseSystem::run_parallel
-pub fn sweep_threads_with_islands(points: usize, islands_per_run: usize) -> usize {
-    let cap = points.max(1);
-    let islands = islands_per_run.max(1);
     let budget = threads_flag()
         .or_else(|| {
             std::env::var("ECLIPSE_SWEEP_THREADS")
@@ -76,7 +59,7 @@ pub fn sweep_threads_with_islands(points: usize, islands_per_run: usize) -> usiz
                 .map(|n| n.get())
                 .unwrap_or(1)
         });
-    (budget / islands).clamp(1, cap)
+    budget.clamp(1, points.max(1))
 }
 
 /// Run `run` over every design point, in parallel across host cores.
@@ -212,21 +195,9 @@ mod tests {
     fn sweep_threads_respects_override() {
         // Can't set the env var here without racing other tests; just
         // check the bounds logic.
-        assert!(sweep_threads(0) >= 1);
+        assert_eq!(sweep_threads(0), 1);
         assert_eq!(sweep_threads(1), 1);
         assert!(sweep_threads(1000) >= 1);
-    }
-
-    #[test]
-    fn islands_divide_the_host_budget() {
-        // Two levels of parallelism must compose: sweep threads shrink as
-        // per-run islands grow, and never reach zero.
-        let solo = sweep_threads_with_islands(1000, 1);
-        let wide = sweep_threads_with_islands(1000, solo.max(2));
-        assert!(wide <= solo);
-        assert!(wide >= 1);
-        assert_eq!(sweep_threads_with_islands(1000, usize::MAX), 1);
-        assert_eq!(sweep_threads_with_islands(1, 1), 1);
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl Coprocessor for PipeCoproc {
         function == self.function
     }
 
-    /// Synthetic pipeline stages move bytes only through SRAM streams.
-    fn uses_system_bus(&self) -> bool {
-        false
-    }
-
     fn configure_task(
         &mut self,
         task: TaskIdx,
@@ -185,13 +180,10 @@ impl Coprocessor for PipeCoproc {
     }
 }
 
-/// A two-app synthetic pipeline on the private-port crossbar — the one
-/// shipped fabric whose static grant floor opens the intra-run parallel
-/// gate (DESIGN.md §16). The two pipes are fully independent (disjoint
-/// streams, dedicated coprocessors, no system-bus traffic), so the
-/// partitioner yields two islands. Used both as the run target and as
-/// the replication factory, so island workers rebuild identical
-/// instances.
+/// A two-app synthetic pipeline on the private-port crossbar (DESIGN.md
+/// §16): two fully independent pipes (disjoint streams, dedicated
+/// coprocessors, no system-bus traffic). `timing_fingerprint` pins its
+/// timing as the `open_gate/private-port-2apps` point.
 pub fn open_gate_system(packets: u32, compute: u64) -> eclipse_core::EclipseSystem {
     use eclipse_core::{EclipseConfig, SystemBuilder};
     use eclipse_kpn::GraphBuilder;
@@ -215,55 +207,6 @@ pub fn open_gate_system(packets: u32, compute: u64) -> eclipse_core::EclipseSyst
             packets,
             64,
             compute + p as u64, // mild asymmetry between the two apps
-        )));
-        b.add_coprocessor(Box::new(PipeCoproc::sink(
-            format!("dst{p}"),
-            packets,
-            64,
-            40,
-        )));
-    }
-    for p in 0..2 {
-        let mut g = GraphBuilder::new(format!("app{p}"));
-        let s = g.stream(format!("s{p}"), 256);
-        g.task(format!("src{p}"), format!("src{p}"), 0, &[], &[s]);
-        g.task(format!("dst{p}"), format!("dst{p}"), 0, &[s], &[]);
-        b.map_app(&g.build().unwrap()).unwrap();
-    }
-    b.build()
-}
-
-/// The same two-app workload on the 2×2 mesh data fabric. The mesh's
-/// per-link TDM grant floor keeps the parallel gate open exactly like
-/// the private-port crossbar (the sync network stays flat/direct —
-/// mesh sync shares link state and would close it).
-pub fn open_gate_mesh_system(packets: u32, compute: u64) -> eclipse_core::EclipseSystem {
-    use eclipse_core::{EclipseConfig, SystemBuilder};
-    use eclipse_kpn::GraphBuilder;
-    use eclipse_mem::{BusConfig, DataFabricConfig};
-    use eclipse_shell::SyncFabricConfig;
-
-    let cfg = EclipseConfig::default();
-    let mut b = SystemBuilder::new(cfg);
-    b.with_data_fabric(DataFabricConfig::Mesh {
-        cols: 2,
-        rows: 2,
-        interleave_bytes: 64,
-        link_grant: 2,
-        hop_cycles: 1,
-        port: BusConfig {
-            width_bytes: cfg.read_bus.width_bytes,
-            latency: cfg.read_bus.latency,
-            cycles_per_beat: cfg.read_bus.cycles_per_beat,
-        },
-    });
-    b.with_sync_fabric(SyncFabricConfig::Direct);
-    for p in 0..2 {
-        b.add_coprocessor(Box::new(PipeCoproc::source(
-            format!("src{p}"),
-            packets,
-            64,
-            compute + p as u64,
         )));
         b.add_coprocessor(Box::new(PipeCoproc::sink(
             format!("dst{p}"),

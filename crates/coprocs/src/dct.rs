@@ -100,11 +100,6 @@ impl Coprocessor for DctCoproc {
         matches!(function, "dct" | "fdct" | "idct")
     }
 
-    /// Pure stream transform: all traffic stays on the SRAM fabric.
-    fn uses_system_bus(&self) -> bool {
-        false
-    }
-
     fn configure_task(
         &mut self,
         task: TaskIdx,

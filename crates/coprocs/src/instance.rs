@@ -394,14 +394,6 @@ impl MpegSystem {
         self.sys.run(max_cycles)
     }
 
-    /// Run through the intra-run parallel path (conservative island
-    /// partitioning with sequential fallback; see
-    /// `EclipseSystem::run_parallel`). Timing is byte-identical to
-    /// [`MpegSystem::run`].
-    pub fn run_parallel(&mut self, max_cycles: Cycle) -> RunSummary {
-        self.sys.run_parallel(max_cycles)
-    }
-
     /// Run under self-healing supervision (see
     /// `EclipseSystem::run_supervised`). With no interventions the
     /// timing is byte-identical to [`MpegSystem::run`].

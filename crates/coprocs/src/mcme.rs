@@ -555,8 +555,11 @@ fn step_mc(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             for blk in 0..6 {
                 if cbp & (1 << (5 - blk)) != 0 {
                     coded_blocks += 1;
+                    // Saturating: a residual damaged in SRAM can carry
+                    // any i16, and `pred + 0x7FFF` must clamp, not panic.
                     for i in 0..64 {
-                        recon[blk][i] = (pred[blk][i] + residuals[blk][i]).clamp(0, 255);
+                        recon[blk][i] =
+                            pred[blk][i].saturating_add(residuals[blk][i]).clamp(0, 255);
                     }
                 } else {
                     for i in 0..64 {

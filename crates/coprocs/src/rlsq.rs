@@ -132,11 +132,6 @@ impl Coprocessor for RlsqCoproc {
         matches!(function, "rlsq" | "qrl" | "iq")
     }
 
-    /// Pure stream transform: all traffic stays on the SRAM fabric.
-    fn uses_system_bus(&self) -> bool {
-        false
-    }
-
     fn configure_task(
         &mut self,
         task: TaskIdx,

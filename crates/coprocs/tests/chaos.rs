@@ -214,3 +214,154 @@ fn sram_flips_in_the_encode_pipeline_never_panic() {
     }
     assert!(damaged_runs > 0, "some flips must be detected and counted");
 }
+
+/// Writes a fixed byte script to its output port in one step, then
+/// finishes — or, as a sink, waits for `len` bytes on its input and
+/// keeps them.
+struct Script {
+    function: &'static str,
+    bytes: Vec<u8>,
+    sink: bool,
+    done: bool,
+}
+
+impl eclipse_core::Coprocessor for Script {
+    fn name(&self) -> &str {
+        self.function
+    }
+    fn supports(&self, function: &str) -> bool {
+        function == self.function
+    }
+    fn configure_task(
+        &mut self,
+        _t: eclipse_shell::TaskIdx,
+        _d: &eclipse_kpn::graph::TaskDecl,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let n = self.bytes.len() as u32;
+        if self.sink {
+            (vec![n], vec![])
+        } else {
+            (vec![], vec![n])
+        }
+    }
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+    fn step(
+        &mut self,
+        _task: eclipse_shell::TaskIdx,
+        _info: u32,
+        ctx: &mut eclipse_core::StepCtx<'_>,
+    ) -> eclipse_core::StepResult {
+        use eclipse_core::StepResult;
+        if self.done {
+            return StepResult::Finished;
+        }
+        let n = self.bytes.len() as u32;
+        if !ctx.get_space(0, n) {
+            return StepResult::Blocked;
+        }
+        if self.sink {
+            ctx.read(0, 0, &mut self.bytes);
+        } else {
+            ctx.write(0, 0, &self.bytes);
+        }
+        ctx.put_space(0, n);
+        self.done = true;
+        StepResult::Finished
+    }
+}
+
+/// A residual record damaged to `i16::MAX` samples (a flipped high bit)
+/// reaches the decode-side `mc` task on a forward-predicted macroblock
+/// whose prediction is non-zero. The reconstruction must saturate to
+/// 255, not overflow.
+#[test]
+fn mc_saturates_a_damaged_max_residual() {
+    use eclipse_coprocs::cost::McCost;
+    use eclipse_coprocs::mcme::{arena_bytes, McMeCoproc, McTaskConfig, DECODE_SLOTS};
+    use eclipse_coprocs::records::{self, mode, PicRec, TAG_EOS};
+    use eclipse_media::motion::MotionVector;
+    use eclipse_media::stream::PictureType;
+
+    // One 16×16 macroblock: an intra I picture of residual 100, then a
+    // P picture predicting forward from it with every sample i16::MAX.
+    let pic = |ptype, temporal_ref| PicRec {
+        ptype,
+        qscale: 8,
+        temporal_ref,
+        mb_cols: 1,
+        mb_rows: 1,
+    };
+    let zero = MotionVector::default();
+    let mut mv = Vec::new();
+    mv.extend(pic(PictureType::I, 0).to_bytes());
+    mv.extend(records::mbmv_to_bytes(mode::INTRA, 0x3F, zero, zero));
+    mv.extend(pic(PictureType::P, 1).to_bytes());
+    mv.extend(records::mbmv_to_bytes(mode::FWD, 0x3F, zero, zero));
+    mv.push(TAG_EOS);
+    let mut resid = Vec::new();
+    for value in [100i16, i16::MAX] {
+        for _ in 0..6 {
+            resid.extend(records::cblk_to_bytes(&[value; 64]));
+        }
+    }
+    resid.push(TAG_EOS);
+    let pix_len = 2 * (records::PIC_REC_BYTES + 1 + records::PIX_REC_BYTES) as usize + 1;
+
+    let mut b = eclipse_core::SystemBuilder::new(EclipseConfig::default());
+    let arena_base = b.dram_alloc(arena_bytes(16, 16, DECODE_SLOTS), 64);
+    let cfgs = [(
+        "mc0".to_string(),
+        McTaskConfig {
+            arena_base,
+            width: 16,
+            height: 16,
+            search_range: 0,
+        },
+    )]
+    .into_iter()
+    .collect();
+    b.add_coprocessor(Box::new(McMeCoproc::new(McCost::default(), cfgs)));
+    let script = |function, bytes, sink| Script {
+        function,
+        bytes,
+        sink,
+        done: false,
+    };
+    b.add_coprocessor(Box::new(script("mvsrc", mv, false)));
+    b.add_coprocessor(Box::new(script("ressrc", resid, false)));
+    let sink = b.add_coprocessor(Box::new(script("pixsink", vec![0; pix_len], true)));
+    let mut g = eclipse_kpn::GraphBuilder::new("mc_overflow");
+    let s_mv = g.stream("mv", 256);
+    let s_res = g.stream("res", 2048);
+    let s_pix = g.stream("pix", 2048);
+    g.task("feed_mv", "mvsrc", 0, &[], &[s_mv]);
+    g.task("feed_res", "ressrc", 0, &[], &[s_res]);
+    g.task("mc0", "mc", 0, &[s_mv, s_res], &[s_pix]);
+    g.task("drain", "pixsink", 0, &[s_pix], &[]);
+    b.map_app(&g.build().unwrap()).unwrap();
+    let mut sys = b.build();
+
+    let summary = sys.run(10_000_000);
+    assert_eq!(summary.outcome, RunOutcome::AllFinished);
+    let out = &sys
+        .coproc(sink)
+        .as_any()
+        .downcast_ref::<Script>()
+        .unwrap()
+        .bytes;
+    // PIC I, MB I, PIC P, MB P, EOS.
+    let mb = |k: usize| {
+        let start = records::PIC_REC_BYTES as usize * (k + 1)
+            + (1 + records::PIX_REC_BYTES as usize) * k
+            + 1;
+        &out[start..start + records::PIX_REC_BYTES as usize]
+    };
+    assert!(mb(0).iter().all(|&p| p == 100), "intra MB reconstructs");
+    assert!(mb(1).iter().all(|&p| p == 255), "damaged MB saturates");
+    assert_eq!(out[pix_len - 1], TAG_EOS);
+}

@@ -13,6 +13,7 @@ use eclipse_media::stream::GopConfig;
 use eclipse_media::{audio, Decoder};
 use eclipse_mem::{BusConfig, DataFabricConfig};
 use eclipse_shell::SyncFabricConfig;
+use eclipse_sim::FaultPlan;
 
 fn encode_test_stream(
     width: usize,
@@ -132,12 +133,15 @@ fn two_fresh_mpeg_builds_checkpoint_identically() {
     assert_eq!(a.system.sys.state_hash(), b.system.sys.state_hash());
 }
 
-/// ISSUE 9 satellite: every data-fabric × sync-fabric combination must
-/// checkpoint bit-exactly *under load* — i.e. at a cycle where the
-/// fabric arbiters hold live cursors (multi-bank round-robin positions,
-/// private-port in-flight grants, bus busy-until horizons) and syncs
-/// are in flight. A restore into a fresh build must replay to the same
-/// state-hash tail and the same decoded frames.
+/// Every data-fabric × sync-fabric combination must checkpoint
+/// bit-exactly *under load* — at a cycle where the fabric arbiters hold
+/// live cursors (multi-bank round-robin positions, private-port and mesh
+/// in-flight grants, bus busy-until horizons), syncs are in flight, and
+/// timing faults (sync delays, bus retries, coprocessor stalls) are
+/// armed, so the fault lanes' RNG cursors travel in the checkpoint too.
+/// A restore into a fresh build must replay to the same state-hash tail
+/// and finish with the same frames, fault counters, `RunSummary`, state
+/// hash and checkpoint bytes as one uninterrupted run.
 #[test]
 fn checkpoint_under_load_across_fabric_combos() {
     let bs = encode_test_stream(48, 32, 3, GopConfig { n: 3, m: 1 }, 26);
@@ -179,81 +183,135 @@ fn checkpoint_under_load_across_fabric_combos() {
             },
         ),
     ];
-    let sync_arms: [(&str, SyncFabricConfig); 2] = [
-        ("direct", SyncFabricConfig::Direct),
-        (
-            "ring",
-            SyncFabricConfig::Ring {
-                hop_latency: 2,
-                link_occupancy: 1,
-            },
-        ),
-    ];
+    let ring = SyncFabricConfig::Ring {
+        hop_latency: 2,
+        link_occupancy: 1,
+    };
+    let mut combos = Vec::new();
     for (dl, data) in data_arms {
-        for (sl, sync) in sync_arms {
-            let label = format!("{dl}+{sl}");
-            let mk = || {
-                let mut b = MpegBuilder::new(cfg, InstanceCosts::default());
-                b.with_data_fabric(data).with_sync_fabric(sync);
-                b.add_decode("dec0", bs.clone(), DecodeAppConfig::default());
-                b.build()
-            };
-            // Measuring pass: learn the total so the save point lands
-            // squarely mid-decode, with the pipeline saturated.
-            let total = {
-                let mut m = mk();
-                let s = m.run(200_000_000);
-                assert_eq!(s.outcome, RunOutcome::AllFinished, "{label}");
-                s.cycles
-            };
+        for (sl, sync) in [("direct", SyncFabricConfig::Direct), ("ring", ring)] {
+            combos.push((format!("{dl}+{sl}"), data, sync));
+        }
+    }
+    let mesh = DataFabricConfig::Mesh {
+        cols: 2,
+        rows: 2,
+        interleave_bytes: 64,
+        link_grant: 2,
+        hop_cycles: 1,
+        port: bank,
+    };
+    let mesh_sync = SyncFabricConfig::Mesh {
+        cols: 2,
+        rows: 2,
+        hop_latency: 2,
+        link_occupancy: 1,
+        piggyback_window: 4,
+    };
+    combos.push(("mesh+direct".into(), mesh, SyncFabricConfig::Direct));
+    combos.push(("mesh+ring".into(), mesh, ring));
+    combos.push(("mesh+mesh-sync".into(), mesh, mesh_sync));
+    // Timing faults only: none of these can wedge the run.
+    let faults = FaultPlan {
+        seed: 7,
+        sync_delay_rate: 0.05,
+        sync_delay_max: 32,
+        bus_error_rate: 0.02,
+        bus_retry_cycles: 16,
+        stall_rate: 0.01,
+        stall_cycles: 8,
+        ..FaultPlan::default()
+    };
+    const MAX_CYCLES: u64 = 200_000_000;
+    for (label, data, sync) in combos {
+        let mk = || {
+            let mut b = MpegBuilder::new(cfg, InstanceCosts::default());
+            b.with_data_fabric(data).with_sync_fabric(sync);
+            b.add_decode("dec0", bs.clone(), DecodeAppConfig::default());
+            let mut sys = b.build();
+            sys.sys.inject_faults(faults.clone());
+            sys
+        };
+        // Uninterrupted reference; its length also places the save
+        // point squarely mid-decode, with the pipeline saturated.
+        let mut reference = mk();
+        let want = reference.run(MAX_CYCLES);
+        assert_eq!(want.outcome, RunOutcome::AllFinished, "{label}");
+        let total = want.cycles;
+        let f = reference.sys.fault_stats();
+        assert!(
+            f.sync_delayed > 0 && f.bus_errors > 0 && f.coproc_stalls > 0,
+            "{label}: every armed fault class must fire: {f:?}"
+        );
 
-            let mut original = mk();
-            assert!(
-                original.sys.run_until(2 * total / 5).is_none(),
-                "{label}: decode must still be mid-flight at the save point"
-            );
-            let hash_at_save = original.sys.state_hash();
-            let bytes = original.sys.save();
+        let mut original = mk();
+        assert!(
+            original.sys.run_until(2 * total / 5).is_none(),
+            "{label}: decode must still be mid-flight at the save point"
+        );
+        let hash_at_save = original.sys.state_hash();
+        let bytes = original.sys.save();
 
-            let mut restored = mk();
-            restored.sys.restore(&bytes).unwrap();
-            assert_eq!(
-                restored.sys.state_hash(),
-                hash_at_save,
-                "{label}: restore does not reproduce the checkpoint hash"
-            );
-            // Re-saving immediately must be byte-identical: arbiter
-            // cursors, in-flight grants, and queued syncs all survive
-            // the round-trip, not just the hashed subset.
-            assert_eq!(
-                restored.sys.save(),
-                bytes,
-                "{label}: save→restore→save is not byte-stable"
-            );
+        let mut restored = mk();
+        restored.sys.restore(&bytes).unwrap();
+        assert_eq!(
+            restored.sys.state_hash(),
+            hash_at_save,
+            "{label}: restore does not reproduce the checkpoint hash"
+        );
+        // Re-saving immediately must be byte-identical: arbiter
+        // cursors, in-flight grants, and queued syncs all survive
+        // the round-trip, not just the hashed subset.
+        assert_eq!(
+            restored.sys.save(),
+            bytes,
+            "{label}: save→restore→save is not byte-stable"
+        );
 
-            let hashes = |sys: &mut eclipse_coprocs::instance::MpegSystem| {
-                let mut out = Vec::new();
-                let mut stop = sys.sys.now();
-                loop {
-                    stop += total / 16;
-                    match sys.sys.run_until(stop) {
-                        None => out.push(sys.sys.state_hash()),
-                        Some(outcome) => {
-                            assert_eq!(outcome, RunOutcome::AllFinished, "{label}");
-                            break;
-                        }
-                    }
-                }
-                out.push(sys.sys.state_hash());
-                out
-            };
-            let tail_a = hashes(&mut original);
-            let tail_b = hashes(&mut restored);
-            assert_eq!(tail_a, tail_b, "{label}: state-hash tails diverged");
+        // Sample the state hash on a fixed stride up to (not including)
+        // the finishing cycle, then close the run for its summary.
+        let finish = |sys: &mut eclipse_coprocs::instance::MpegSystem| {
+            let mut hashes = Vec::new();
+            let mut stop = sys.sys.now() + total / 16;
+            while stop < total {
+                assert!(sys.sys.run_until(stop).is_none(), "{label}");
+                hashes.push(sys.sys.state_hash());
+                stop += total / 16;
+            }
+            let summary = sys.run(MAX_CYCLES);
+            (hashes, format!("{summary:?}"))
+        };
+        let (tail_a, summary_a) = finish(&mut original);
+        let (tail_b, summary_b) = finish(&mut restored);
+        assert_eq!(tail_a, tail_b, "{label}: state-hash tails diverged");
+        for (who, sys, summary) in [
+            ("interrupted", &original, summary_a),
+            ("restored", &restored, summary_b),
+        ] {
             assert_eq!(
-                original.display_frames("dec0"),
-                restored.display_frames("dec0"),
-                "{label}: restored decode produced different frames"
+                summary,
+                format!("{want:?}"),
+                "{label}: {who} RunSummary diverged"
+            );
+            assert_eq!(
+                sys.sys.state_hash(),
+                reference.sys.state_hash(),
+                "{label}: {who} state hash diverged"
+            );
+            assert_eq!(
+                sys.sys.save(),
+                reference.sys.save(),
+                "{label}: {who} checkpoint bytes diverged"
+            );
+            assert_eq!(
+                sys.sys.fault_stats(),
+                reference.sys.fault_stats(),
+                "{label}: {who} fault counters diverged"
+            );
+            assert_eq!(
+                sys.display_frames("dec0"),
+                reference.display_frames("dec0"),
+                "{label}: {who} decode produced different frames"
             );
         }
     }

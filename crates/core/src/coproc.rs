@@ -317,15 +317,6 @@ pub trait Coprocessor {
         false
     }
 
-    /// Does this coprocessor own a port on the off-chip system bus
-    /// (DRAM traffic)? Used by the island partitioner to co-locate
-    /// everything contending on the shared off-chip arbiter. The
-    /// default is the conservative `true`; models that provably never
-    /// call the `StepCtx` DRAM hooks override to `false`.
-    fn uses_system_bus(&self) -> bool {
-        true
-    }
-
     /// Serialize all per-task dynamic state into a checkpoint. The
     /// default is a no-op for stateless models; models holding task state
     /// (parsers, predictors, partial frames) must override both hooks so

@@ -38,8 +38,8 @@ pub use mapping::{
     AppHandles, FirstFitPlacement, MapError, Placement, PlacementCtx, TopologyAwarePlacement,
 };
 pub use system::{
-    AppHealth, AppState, DrainReport, EclipseSystem, PartitionPlan, QosContract, ReconfigError,
-    RecoveryAction, RecoveryReport, RecoveryTrigger, RunOutcome, RunSummary, StreamSpaceView,
-    Supervisor, SupervisorConfig, SystemBuilder, SystemFactory, WedgeDiagnosis, WedgeReason,
+    AppHealth, AppState, DrainReport, EclipseSystem, QosContract, ReconfigError, RecoveryAction,
+    RecoveryReport, RecoveryTrigger, RunOutcome, RunSummary, StreamSpaceView, Supervisor,
+    SupervisorConfig, SystemBuilder, WedgeDiagnosis, WedgeReason,
 };
 pub use trace::{TraceLog, TraceSeries};

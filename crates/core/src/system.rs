@@ -31,8 +31,6 @@
 //! [`eclipse_shell::SyncFabric`]).
 
 mod lifecycle;
-mod parallel;
-mod partition;
 mod run_loop;
 mod snapshot;
 mod summary;
@@ -43,7 +41,6 @@ mod wedge;
 mod wiring;
 
 pub use lifecycle::{AppState, DrainReport, ReconfigError};
-pub use partition::PartitionPlan;
 pub use summary::{RunOutcome, RunSummary};
 pub use supervisor::{
     AppHealth, QosContract, RecoveryAction, RecoveryReport, RecoveryTrigger, Supervisor,
@@ -88,13 +85,14 @@ pub(crate) enum Event {
 
 /// Content key of an event: a total order over *what* an event is, so
 /// that same-cycle events pop in an order independent of scheduling
-/// history. This is the keystone of replicated-island parallelism: a
-/// clone that only ever schedules its island's events still agrees with
-/// the sequential reference on the relative order of every pair of
-/// events it handles, because same-time cross-island pairs are ordered
-/// by key (content), never by the insertion sequence the clone didn't
-/// perform. Within one island, equal-key events fall back to insertion
-/// order, which the clone reproduces exactly.
+/// history. Equal-key events fall back to insertion order.
+///
+/// This keyed order defines the committed timing
+/// (`results/timing_fingerprint.txt`): reverting to plain insertion
+/// order moves the QCIF decode from 1,141,083 to 1,140,908 cycles. It
+/// also makes same-cycle order a property of the model (sync
+/// deliveries before steps before sampling) rather than of the order in
+/// which the run loop happened to schedule them.
 ///
 /// Layout (top two bits = rank): sync deliveries first (keyed by the
 /// full destination/source access-point pair), then coprocessor steps
@@ -112,13 +110,6 @@ pub(crate) fn event_key(ev: &Event) -> u64 {
         Event::Sample => 2 << 62,
     }
 }
-
-/// Builds an identical fresh system — same construction path as the one
-/// that created `self` (same config, coprocessors, fabrics, mapped
-/// apps). Installed by `SystemBuilder::with_replication`; the parallel
-/// engine restores a snapshot of the running system into each fresh
-/// build, one per island worker thread.
-pub type SystemFactory = std::sync::Arc<dyn Fn() -> EclipseSystem + Send + Sync>;
 
 /// In-flight `putspace` counters per (destination shell, row), stored as
 /// per-shell vectors so the sync hot path never hashes. Rows mapped at
@@ -260,18 +251,6 @@ pub struct EclipseSystem {
     /// Credit bytes lost to injected message drops, same keying (the
     /// conservation invariant accounts them explicitly).
     credits_lost: HashMap<(AccessPoint, AccessPoint), u64>,
-    /// Requested intra-run parallelism (island count ceiling); 1 =
-    /// sequential. Configuration, not simulation state — excluded from
-    /// checkpoints.
-    parallel_islands: usize,
-    /// Rebuilds an identical fresh system for island worker threads
-    /// (see [`SystemFactory`]). Execution machinery, not simulation
-    /// state — excluded from checkpoints. `run_parallel` falls back to
-    /// the sequential engine when absent.
-    replicate: Option<SystemFactory>,
-    /// The partition plan computed by the most recent `run_parallel`
-    /// call, kept for reporting (why did the run parallelize or not).
-    last_partition_plan: Option<PartitionPlan>,
     /// Supervisor interventions accumulated since the last
     /// `finish_run`, drained into [`RunSummary::recovery`].
     /// Observational (like the trace sink): excluded from checkpoints
@@ -384,36 +363,6 @@ impl EclipseSystem {
     /// The off-chip system bus (for stats).
     pub fn system_bus(&self) -> &Bus {
         &self.system_bus
-    }
-
-    /// The island count requested via `SystemBuilder::with_parallel`
-    /// (1 = sequential).
-    pub fn parallel_islands(&self) -> usize {
-        self.parallel_islands
-    }
-
-    /// Change the requested island count on a built system (the runtime
-    /// counterpart of `SystemBuilder::with_parallel`; a pure execution
-    /// knob that never affects simulated timing).
-    pub fn set_parallel_islands(&mut self, islands: usize) {
-        self.parallel_islands = islands.max(1);
-    }
-
-    /// Install the factory that rebuilds an identical fresh system for
-    /// island worker threads (runtime counterpart of
-    /// `SystemBuilder::with_replication`). The factory MUST repeat the
-    /// construction path that produced this system — the config digest
-    /// is checked when workers restore the run's snapshot into a fresh
-    /// build, so a mismatched factory fails loudly, not silently.
-    pub fn set_replication(&mut self, factory: SystemFactory) {
-        self.replicate = Some(factory);
-    }
-
-    /// The partition plan computed by the most recent
-    /// [`EclipseSystem::run_parallel`] call — including the fallback
-    /// reason when the instance could not be split.
-    pub fn last_partition_plan(&self) -> Option<&PartitionPlan> {
-        self.last_partition_plan.as_ref()
     }
 
     /// Collected measurement traces.

@@ -16,8 +16,7 @@ use super::{event_key, EclipseSystem, Event, RunOutcome, RunSummary};
 impl EclipseSystem {
     /// Schedule `ev` at absolute `time` under its content key (see
     /// [`event_key`]) — the only way the run loop ever inserts events,
-    /// so sequential runs and replicated island clones share one total
-    /// order.
+    /// so every run pops in one content-defined total order.
     #[inline]
     pub(crate) fn schedule_event(&mut self, time: Cycle, ev: Event) {
         self.cal.schedule_keyed_at(time, event_key(&ev), ev);
@@ -114,35 +113,6 @@ impl EclipseSystem {
                 }
             }
         }
-    }
-
-    /// Run with the intra-run parallel engine when the built instance
-    /// admits it, and with the sequential engine otherwise.
-    ///
-    /// The decision is the [`PartitionPlan`](super::PartitionPlan)
-    /// computed for the `SystemBuilder::with_parallel` request: islands
-    /// may only run concurrently when the communication hardware proves
-    /// a positive cross-island lookahead (see
-    /// `EclipseSystem::partition_plan`). With the private-ported data
-    /// fabric (`DataFabricConfig::PrivatePort`), a non-coupling sync
-    /// network, and a replication factory installed, the gate opens and
-    /// the replicated-island engine in `system::parallel` executes the
-    /// islands on worker threads — producing timing, fingerprints,
-    /// state hashes, and checkpoint bytes *byte-identical* to the
-    /// sequential engine (pinned by `tests/parallel_equivalence.rs`
-    /// across fabric combinations, including the open-gate path). Every
-    /// other configuration falls back to [`EclipseSystem::run`], which
-    /// is identical by construction. The computed plan, including the
-    /// fallback reason, is retained for inspection via
-    /// `EclipseSystem::last_partition_plan`.
-    pub fn run_parallel(&mut self, max_cycles: Cycle) -> RunSummary {
-        let plan = self.partition_plan(self.parallel_islands);
-        let parallel = plan.parallel();
-        self.last_partition_plan = Some(plan);
-        if parallel {
-            return self.run_islands(max_cycles);
-        }
-        self.run(max_cycles)
     }
 
     /// Run until every task finishes, deadlock, or `max_cycles`.
@@ -372,8 +342,8 @@ impl EclipseSystem {
                     let mut extra_delay = 0u64;
                     if let Some(inj) = &mut self.fault {
                         // Keyed by the *sender* shell: the dice for a
-                        // message are rolled where it originates, so an
-                        // island replays exactly its own shells' draws.
+                        // message are rolled where it originates, on that
+                        // shell's own fault lane.
                         match inj.sync_action(msg.src.shell.0 as usize, msg.bytes) {
                             SyncAction::Deliver => {}
                             SyncAction::Delay(d) => {
@@ -489,9 +459,9 @@ impl EclipseSystem {
         }
         // Sync-network counter tracks (hops and link waits on the
         // ring/mesh networks). Structured trace only: `TraceLog` series
-        // are merged by the parallel engine and adding a series would
-        // shift its fingerprint, while the sink is explicitly
-        // coordinator-side observational state.
+        // are part of the checkpoint and the state hash, so adding one
+        // would change the committed snapshot evidence, while the sink
+        // is observational state outside both.
         if let Some(t) = &self.sys_trace {
             let s = self.sync.stats();
             for (track, value) in [

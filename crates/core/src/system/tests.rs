@@ -547,9 +547,10 @@ fn run_to_end_with_hashes(sys: &mut EclipseSystem, stride: u64) -> (Vec<u64>, St
     (hashes, format!("{summary:?}"))
 }
 
-/// The six interconnect combinations the round-trip suite covers: three
-/// data fabrics (paper bus pair, 2-bank, 4-bank) by two sync networks
-/// (direct, ring).
+/// The eleven interconnect combinations the round-trip suite covers:
+/// four data fabrics (paper bus pair, 2-bank, 4-bank, private port) by
+/// two sync networks (direct, ring), plus the 2×2 mesh data fabric under
+/// the direct, ring and mesh sync networks.
 fn fabric_combos() -> Vec<(DataFabricConfig, SyncFabricConfig)> {
     let cfg = EclipseConfig::default();
     let data = [
@@ -567,19 +568,38 @@ fn fabric_combos() -> Vec<(DataFabricConfig, SyncFabricConfig)> {
             interleave_bytes: 32,
             bank: BusConfig::default(),
         },
-    ];
-    let sync = [
-        SyncFabricConfig::Direct,
-        SyncFabricConfig::Ring {
-            hop_latency: 2,
-            link_occupancy: 1,
+        DataFabricConfig::PrivatePort {
+            grant_cycles: 2,
+            port: BusConfig::default(),
         },
     ];
+    let ring = SyncFabricConfig::Ring {
+        hop_latency: 2,
+        link_occupancy: 1,
+    };
     let mut combos = Vec::new();
     for d in data {
-        for s in sync {
+        for s in [SyncFabricConfig::Direct, ring] {
             combos.push((d, s));
         }
+    }
+    let mesh = DataFabricConfig::Mesh {
+        cols: 2,
+        rows: 2,
+        interleave_bytes: 64,
+        link_grant: 2,
+        hop_cycles: 1,
+        port: BusConfig::default(),
+    };
+    let mesh_sync = SyncFabricConfig::Mesh {
+        cols: 2,
+        rows: 2,
+        hop_latency: 2,
+        link_occupancy: 1,
+        piggyback_window: 4,
+    };
+    for s in [SyncFabricConfig::Direct, ring, mesh_sync] {
+        combos.push((mesh, s));
     }
     combos
 }
@@ -611,6 +631,63 @@ fn snapshot_roundtrip_is_bit_exact_across_fabrics() {
 
         assert_eq!(tail_a, tail_b, "combo {combo}: state-hash tails diverged");
         assert_eq!(summary_a, summary_b, "combo {combo}: summaries diverged");
+    }
+}
+
+mod checkpoint_proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+        /// For any fabric combination, sync-delay and stall fault seed
+        /// and rates, and save point, a run saved mid-flight and finished in a fresh
+        /// build ends with the uninterrupted run's `RunSummary`, state
+        /// hash and checkpoint bytes.
+        #[test]
+        fn checkpoint_replays_uninterrupted_run_under_random_faults(
+            combo in 0usize..11,
+            seed in any::<u64>(),
+            delay_rate in 0.0f64..0.15,
+            stall_rate in 0.0f64..0.05,
+            split in 500u64..20_000,
+        ) {
+            let (data, sync) = fabric_combos()[combo];
+            let plan = FaultPlan {
+                seed,
+                sync_delay_rate: delay_rate,
+                sync_delay_max: 24,
+                stall_rate,
+                stall_cycles: 6,
+                ..FaultPlan::default()
+            };
+            let build = || {
+                let (mut b, _) = pipeline_builder(256, 65_536, 64);
+                b.with_data_fabric(data);
+                b.with_sync_fabric(sync);
+                let mut sys = b.build();
+                sys.inject_faults(plan.clone());
+                sys
+            };
+
+            let mut reference = build();
+            let want = reference.run(10_000_000);
+            prop_assert_eq!(&want.outcome, &RunOutcome::AllFinished);
+
+            let mut first = build();
+            prop_assert_eq!(first.run_until(split), None);
+            let bytes = first.save();
+            let mut resumed = build();
+            resumed.restore(&bytes).unwrap();
+            let got = resumed.run(10_000_000);
+
+            prop_assert_eq!(format!("{want:?}"), format!("{got:?}"),
+                "combo {}: RunSummary diverged", combo);
+            prop_assert_eq!(reference.state_hash(), resumed.state_hash(),
+                "combo {}: state hash diverged", combo);
+            prop_assert_eq!(reference.save(), resumed.save(),
+                "combo {}: checkpoint bytes diverged", combo);
+        }
     }
 }
 

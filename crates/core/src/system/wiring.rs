@@ -22,7 +22,7 @@ use crate::mapping::{
 use crate::trace::TraceLog;
 
 use super::lifecycle::AppRecord;
-use super::{AppState, CpuSyncConfig, EclipseSystem, PendingSyncs, SystemFactory};
+use super::{AppState, CpuSyncConfig, EclipseSystem, PendingSyncs};
 
 /// Overflow-checked bump allocation: round `next` up to `align`, advance
 /// past `size` bytes, and check against a `capacity` ceiling. Returns
@@ -142,8 +142,6 @@ pub struct SystemBuilder {
     apps: HashMap<String, AppRecord>,
     data_fabric: Option<DataFabricConfig>,
     sync_fabric: SyncFabricConfig,
-    parallel_islands: usize,
-    replication: Option<SystemFactory>,
     placement: Box<dyn Placement>,
 }
 
@@ -162,8 +160,6 @@ impl SystemBuilder {
             apps: HashMap::new(),
             data_fabric: None,
             sync_fabric: SyncFabricConfig::Direct,
-            parallel_islands: 1,
-            replication: None,
             placement: Box::new(FirstFitPlacement),
         }
     }
@@ -230,35 +226,6 @@ impl SystemBuilder {
             Some(f) => f.topology(),
             None => FabricTopology::uniform("shared-bus"),
         }
-    }
-
-    /// Request intra-run parallel simulation over at most `islands`
-    /// conservative islands (see `EclipseSystem::partition_plan`).
-    ///
-    /// This is a *request*, not a promise: `run_parallel` partitions the
-    /// built instance only when the communication hardware proves a
-    /// positive cross-island lookahead, and falls back to the sequential
-    /// engine — byte-identical timing, fingerprints, and checkpoints —
-    /// whenever it cannot. The gate opens for instances on a
-    /// private-ported data fabric (`DataFabricConfig::PrivatePort`) with
-    /// a non-coupling sync network and a replication factory installed
-    /// ([`SystemBuilder::with_replication`]); the plan's `reason` always
-    /// records the decision either way.
-    pub fn with_parallel(&mut self, islands: usize) -> &mut Self {
-        self.parallel_islands = islands.max(1);
-        self
-    }
-
-    /// Install the factory the parallel engine uses to rebuild an
-    /// identical fresh system on each island worker thread (see
-    /// [`SystemFactory`]). The factory must repeat this builder's exact
-    /// construction path — config, coprocessor roster, fabric selection,
-    /// and mapped apps — which the engine verifies through the snapshot
-    /// config digest. Without a factory, `run_parallel` always takes the
-    /// sequential fallback (the plan's `reason` says so).
-    pub fn with_replication(&mut self, factory: SystemFactory) -> &mut Self {
-        self.replication = Some(factory);
-        self
     }
 
     /// Reserve `size` bytes of off-chip memory (bitstreams, frame
@@ -396,9 +363,6 @@ impl SystemBuilder {
             credit_check: false,
             in_flight: HashMap::new(),
             credits_lost: HashMap::new(),
-            parallel_islands: self.parallel_islands,
-            replicate: self.replication,
-            last_partition_plan: None,
             recovery_log: Vec::new(),
             placement: self.placement,
         }

@@ -219,53 +219,11 @@ pub trait DataFabric: std::fmt::Debug {
         self.ports().into_iter().find(|p| p.name == name)
     }
 
-    /// Lower bound, in cycles, on how long one requester's transfer is
-    /// guaranteed not to influence *another* requester's grant timing —
-    /// the data-plane lookahead a conservative parallel partitioning may
-    /// bank on. `None` means zero: the fabric arbitrates globally, so a
-    /// request by one shell can change what any other shell sees in the
-    /// *same* cycle, and no positive conservative window exists across
-    /// the fabric. The globally-arbitrated backends (one shared bus pair;
-    /// banks selected by address, not by requester) return `None`;
-    /// [`PrivatePortFabric`] gives every requester a private port whose
-    /// timing no other requester can touch and returns its static
-    /// crossbar grant bound, unlocking intra-run parallelism.
-    fn min_grant_cycles(&self) -> Option<Cycle> {
-        None
-    }
-
     /// Static topology descriptor for the placement pass: bank count,
     /// address interleave, optional mesh grid. The default is the
     /// uniform single-arbiter topology (no placement leverage).
     fn topology(&self) -> FabricTopology {
         FabricTopology::uniform(self.kind())
-    }
-
-    /// Parallel-island merge: graft `other`'s private per-requester
-    /// state for `requester` into `self`, exactly as if the requests
-    /// had been issued here. Only fabrics with a positive
-    /// [`DataFabric::min_grant_cycles`] are ever replicated across
-    /// islands, so the default (for globally arbitrated backends the
-    /// partitioner never admits) panics rather than silently merging
-    /// wrong.
-    fn adopt_requester_state(&mut self, _requester: usize, _other: &dyn DataFabric) {
-        unreachable!(
-            "data fabric '{}' has no per-requester state to merge \
-             (the parallel gate never admits it)",
-            self.kind()
-        );
-    }
-
-    /// Parallel-island merge: fold the global counters `other`
-    /// accumulated *beyond* the shared baseline `base` into `self`
-    /// (exact integer deltas). Same admission rule as
-    /// [`DataFabric::adopt_requester_state`].
-    fn absorb_stats_delta(&mut self, _base: &dyn DataFabric, _other: &dyn DataFabric) {
-        unreachable!(
-            "data fabric '{}' has no mergeable counters \
-             (the parallel gate never admits it)",
-            self.kind()
-        );
     }
 
     /// Serialize the fabric's dynamic state (arbiter clocks, statistics)
@@ -278,8 +236,8 @@ pub trait DataFabric: std::fmt::Debug {
         Ok(())
     }
 
-    /// Downcast support (the parallel engine's state merge needs the
-    /// concrete backend to swap per-requester port state).
+    /// Downcast support (tests and reports inspect backend-specific
+    /// state, e.g. a mesh's in-flight routes).
     fn as_any(&self) -> &dyn std::any::Any;
 
     /// Mutable downcast support.
@@ -313,8 +271,6 @@ pub enum DataFabricConfig {
     /// through a worst-case-provisioned crossbar: every request pays the
     /// static grant bound `grant_cycles`, and after the grant its private
     /// port carries the data with no cross-requester arbitration at all.
-    /// The only fabric with a positive `min_grant_cycles()` — the one
-    /// that opens the intra-run parallel gate.
     PrivatePort {
         /// Static worst-case crossbar grant latency in cycles (>= 1);
         /// a TDM crossbar serving `P` ports bounds this by `P`.
@@ -328,9 +284,7 @@ pub enum DataFabricConfig {
     /// a private injection port at node `requester % nodes`, and each
     /// traversed link charges its worst-case TDM grant slot plus a hop
     /// latency. Like [`DataFabricConfig::PrivatePort`], the per-link
-    /// grant floor is statically provisioned, so the fabric reports a
-    /// positive `min_grant_cycles()` and keeps the intra-run parallel
-    /// gate open.
+    /// grant floor is statically provisioned.
     Mesh {
         /// Grid width in bank nodes (>= 1).
         cols: u32,
@@ -338,8 +292,7 @@ pub enum DataFabricConfig {
         rows: u32,
         /// Bytes per address-interleave chunk (power of two).
         interleave_bytes: u32,
-        /// Worst-case TDM grant slot per link (>= 1) — also the
-        /// fabric's parallel lookahead floor.
+        /// Worst-case TDM grant slot per link (>= 1).
         link_grant: Cycle,
         /// Added latency per traversed link.
         hop_cycles: Cycle,
@@ -452,13 +405,6 @@ impl SharedBusFabric {
 impl DataFabric for SharedBusFabric {
     fn kind(&self) -> &'static str {
         "shared-bus"
-    }
-
-    /// Every shell contends on the same two arbiters (`next_free` is
-    /// shared state): a grant to one shell moves another shell's start
-    /// time within the same cycle. Zero data-plane lookahead.
-    fn min_grant_cycles(&self) -> Option<Cycle> {
-        None
     }
 
     fn request(
@@ -580,14 +526,6 @@ impl MultiBankFabric {
 impl DataFabric for MultiBankFabric {
     fn kind(&self) -> &'static str {
         "multibank"
-    }
-
-    /// Banks are selected by *address*, not by requester: any two shells
-    /// touching the same bank couple same-cycle through its arbiter, and
-    /// the stream-buffer allocator freely spreads windows across banks.
-    /// Zero data-plane lookahead, like the shared bus.
-    fn min_grant_cycles(&self) -> Option<Cycle> {
-        None
     }
 
     /// Banks are real, separately arbitrated nodes: placement can
@@ -720,7 +658,7 @@ const PORT_WRITE_NAMES: [&str; MAX_PORTS] = [
 ];
 
 /// One requester's private read/write port pair.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PrivatePort {
     read: Bus,
     write: Bus,
@@ -738,12 +676,9 @@ struct PrivatePort {
 /// when all ports storm the same bank), then streams over shell `s`'s
 /// private port [`Bus`]. No state whatsoever is shared between
 /// requesters, so one shell's traffic *cannot* move another shell's
-/// grant or completion times — which is exactly why
-/// [`DataFabric::min_grant_cycles`] can return `Some(grant_cycles)` and
-/// open the conservative parallel partitioner's gate. The only waiting a
-/// request can experience is queueing behind the same shell's earlier
-/// transfer on its own port; that self-queueing is what the contention
-/// counter reports.
+/// grant or completion times. The only waiting a request can experience
+/// is queueing behind the same shell's earlier transfer on its own port;
+/// that self-queueing is what the contention counter reports.
 #[derive(Debug)]
 pub struct PrivatePortFabric {
     /// Port `s` serves requester (shell) `s`; grown lazily on first use
@@ -761,7 +696,7 @@ impl PrivatePortFabric {
     pub fn new(grant_cycles: Cycle, port: BusConfig) -> Self {
         assert!(
             grant_cycles >= 1,
-            "the crossbar grant bound must be positive (it is the fabric's parallel lookahead)"
+            "the crossbar grant bound must be positive"
         );
         PrivatePortFabric {
             ports: Vec::new(),
@@ -786,37 +721,11 @@ impl PrivatePortFabric {
         }
         &mut self.ports[requester]
     }
-
-    /// Parallel-island merge: graft `other`'s port state for `requester`
-    /// into `self`, creating fresh intermediate ports exactly as lazy
-    /// growth would have. A port `other` never grew is left fresh —
-    /// equivalent, since an ungrown port has carried nothing.
-    pub fn adopt_port_state(&mut self, requester: usize, other: &PrivatePortFabric) {
-        if requester < other.ports.len() {
-            let _ = self.port_pair(requester); // grow
-            self.ports[requester] = other.ports[requester].clone();
-        }
-    }
-
-    /// Parallel-island merge: add the self-queueing `other` accumulated
-    /// beyond the shared baseline `base` onto `self`.
-    pub fn absorb_contended_delta(&mut self, base: &PrivatePortFabric, other: &PrivatePortFabric) {
-        self.contended += other.contended - base.contended;
-    }
 }
 
 impl DataFabric for PrivatePortFabric {
     fn kind(&self) -> &'static str {
         "private-port"
-    }
-
-    /// The private-port guarantee: requester state is fully disjoint, so
-    /// another shell's request can never move this shell's grant inside
-    /// the crossbar's static grant window. The bound is conservative —
-    /// private ports actually decouple requesters *forever*, but the
-    /// partitioner only needs a positive floor.
-    fn min_grant_cycles(&self) -> Option<Cycle> {
-        Some(self.grant)
     }
 
     /// Distance-free: every port reaches every interleaved bank at the
@@ -831,26 +740,6 @@ impl DataFabric for PrivatePortFabric {
             private_ports: true,
             hop_cycles: 0,
         }
-    }
-
-    fn adopt_requester_state(&mut self, requester: usize, other: &dyn DataFabric) {
-        let other = other
-            .as_any()
-            .downcast_ref::<PrivatePortFabric>()
-            .expect("island merge requires identical fabric kinds");
-        self.adopt_port_state(requester, other);
-    }
-
-    fn absorb_stats_delta(&mut self, base: &dyn DataFabric, other: &dyn DataFabric) {
-        let base = base
-            .as_any()
-            .downcast_ref::<PrivatePortFabric>()
-            .expect("island merge requires identical fabric kinds");
-        let other = other
-            .as_any()
-            .downcast_ref::<PrivatePortFabric>()
-            .expect("island merge requires identical fabric kinds");
-        self.absorb_contended_delta(base, other);
     }
 
     fn request(
@@ -995,19 +884,14 @@ impl Snapshot for LinkStats {
 /// cycles on every link it can reach, so a request never waits on
 /// *another* requester — it statically pays `link_grant` for its
 /// injection slot plus `link_grant + hop_cycles` per traversed link of
-/// its longest chunk route, then streams over its private port. That
-/// static provisioning is exactly what lets
-/// [`DataFabric::min_grant_cycles`] return `Some(link_grant)` (the
-/// per-link grant floor) and keep the conservative parallel partitioner
-/// composing with the mesh unchanged: requester timing state is fully
-/// disjoint, as on [`PrivatePortFabric`]. The only queueing is behind
-/// the same requester's earlier transfers on its own injection port
-/// (reported by the contention counter).
+/// its longest chunk route, then streams over its private port.
+/// Requester timing state is fully disjoint, as on [`PrivatePortFabric`].
+/// The only queueing is behind the same requester's earlier transfers on
+/// its own injection port (reported by the contention counter).
 ///
 /// **Accounting.** Per-link occupancy/byte/traversal counters record
 /// where the traffic actually flowed — purely observational (they never
-/// feed back into timing), which is what makes them mergeable by exact
-/// deltas across parallel islands.
+/// feed back into timing).
 #[derive(Debug)]
 pub struct MeshDataFabric {
     geom: MeshGeometry,
@@ -1042,10 +926,7 @@ impl MeshDataFabric {
             interleave_bytes.is_power_of_two(),
             "interleave must be a power of two"
         );
-        assert!(
-            link_grant >= 1,
-            "the link grant slot must be positive (it is the fabric's parallel lookahead)"
-        );
+        assert!(link_grant >= 1, "the link grant slot must be positive");
         MeshDataFabric {
             links: vec![LinkStats::default(); geom.n_links()],
             geom,
@@ -1112,16 +993,6 @@ impl MeshDataFabric {
 impl DataFabric for MeshDataFabric {
     fn kind(&self) -> &'static str {
         "mesh"
-    }
-
-    /// The per-link TDM grant floor: links are provisioned so each
-    /// requester's slot is guaranteed regardless of the others'
-    /// traffic, hence no requester can move another's grant inside
-    /// `link_grant` cycles — the same conservative contract as the
-    /// private-port crossbar, derived from the link grant instead of a
-    /// central arbiter bound.
-    fn min_grant_cycles(&self) -> Option<Cycle> {
-        Some(self.link_grant)
     }
 
     fn topology(&self) -> FabricTopology {
@@ -1221,34 +1092,6 @@ impl DataFabric for MeshDataFabric {
 
     fn contended_requests(&self) -> u64 {
         self.contended
-    }
-
-    fn adopt_requester_state(&mut self, requester: usize, other: &dyn DataFabric) {
-        let other = other
-            .as_any()
-            .downcast_ref::<MeshDataFabric>()
-            .expect("island merge requires identical fabric kinds");
-        if requester < other.ports.len() {
-            let _ = self.port_pair(requester); // grow
-            self.ports[requester] = other.ports[requester].clone();
-        }
-    }
-
-    fn absorb_stats_delta(&mut self, base: &dyn DataFabric, other: &dyn DataFabric) {
-        let base = base
-            .as_any()
-            .downcast_ref::<MeshDataFabric>()
-            .expect("island merge requires identical fabric kinds");
-        let other = other
-            .as_any()
-            .downcast_ref::<MeshDataFabric>()
-            .expect("island merge requires identical fabric kinds");
-        self.contended += other.contended - base.contended;
-        for (l, (o, b)) in other.links.iter().zip(&base.links).enumerate() {
-            self.links[l].traversals += o.traversals - b.traversals;
-            self.links[l].bytes += o.bytes - b.bytes;
-            self.links[l].busy_cycles += o.busy_cycles - b.busy_cycles;
-        }
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -1443,28 +1286,36 @@ mod tests {
     #[test]
     fn boundary_cycle_grant_is_uncontended_on_every_fabric() {
         // cfg(): 64 B → 4 beats; a request at `now` occupies the bus until
-        // `start + 4`, completing (latency 1) at `start + 5`.
-        let fabrics: Vec<Box<dyn DataFabric>> = vec![
-            DataFabricConfig::SharedBus {
-                read: cfg(),
-                write: cfg(),
-            }
-            .build(),
-            DataFabricConfig::MultiBank {
-                banks: 4,
-                interleave_bytes: 64,
-                bank: cfg(),
-            }
-            .build(),
-            DataFabricConfig::PrivatePort {
-                grant_cycles: 3,
-                port: cfg(),
-            }
-            .build(),
+        // `start + 4`, completing (latency 1) at `start + 5`. Each entry
+        // pairs a fabric with the grant floor its config charges.
+        let grant_cycles = 3;
+        let fabrics = [
+            (
+                DataFabricConfig::SharedBus {
+                    read: cfg(),
+                    write: cfg(),
+                },
+                0,
+            ),
+            (
+                DataFabricConfig::MultiBank {
+                    banks: 4,
+                    interleave_bytes: 64,
+                    bank: cfg(),
+                },
+                0,
+            ),
+            (
+                DataFabricConfig::PrivatePort {
+                    grant_cycles,
+                    port: cfg(),
+                },
+                grant_cycles,
+            ),
         ];
-        for mut f in fabrics {
+        for (fabric, grant) in fabrics {
+            let mut f = fabric.build();
             let kind = f.kind();
-            let grant = f.min_grant_cycles().unwrap_or(0);
             let t1 = f.request(0, FabricDir::Read, 0, 0, 64);
             assert_eq!(t1.wait, grant, "{kind}: idle fabric charges only its floor");
             // The port frees at start + beats; arrive so the (possibly
@@ -1508,7 +1359,6 @@ mod tests {
     #[test]
     fn private_port_charges_constant_grant_floor() {
         let mut f = PrivatePortFabric::new(2, cfg());
-        assert_eq!(f.min_grant_cycles(), Some(2));
         assert_eq!(f.kind(), "private-port");
         let t = f.request(0, FabricDir::Read, 10, 0, 64);
         assert_eq!(
@@ -1615,7 +1465,6 @@ mod tests {
     fn mesh_charges_grant_plus_hops() {
         // 2×2 grid, 64 B interleave. Requester 0 injects at node 0.
         let mut f = MeshDataFabric::new(2, 2, 64, 2, 3, cfg());
-        assert_eq!(f.min_grant_cycles(), Some(2));
         assert_eq!(f.kind(), "mesh");
         // addr 0 → bank 0: zero hops, pays only the injection slot.
         let local = f.request(0, FabricDir::Read, 10, 0, 64);
@@ -1755,41 +1604,5 @@ mod tests {
         f.save_state(&mut wf);
         g.save_state(&mut wg);
         assert_eq!(wf.into_bytes(), wg.into_bytes());
-    }
-
-    #[test]
-    fn mesh_island_merge_hooks_reconcile_exactly() {
-        // A sequential run interleaving requesters 0 and 1 must equal
-        // S0 + per-island deltas merged through the trait hooks; each
-        // island replays the sequential schedule restricted to its own
-        // requester (exactly what the replicated calendar filter does).
-        let schedule = [0usize, 1, 0, 1, 1, 0];
-        let mut seq = MeshDataFabric::new(2, 2, 64, 2, 1, cfg());
-        for (i, &s) in schedule.iter().enumerate() {
-            seq.request(s, FabricDir::Read, i as u64 * 2, (s as u32) * 64, 96);
-        }
-
-        let base = MeshDataFabric::new(2, 2, 64, 2, 1, cfg());
-        let mut islands = Vec::new();
-        for own in 0..2usize {
-            let mut isl = MeshDataFabric::new(2, 2, 64, 2, 1, cfg());
-            for (i, &s) in schedule.iter().enumerate() {
-                if s == own {
-                    isl.request(s, FabricDir::Read, i as u64 * 2, (s as u32) * 64, 96);
-                }
-            }
-            islands.push(isl);
-        }
-        let mut merged = MeshDataFabric::new(2, 2, 64, 2, 1, cfg());
-        for (own, isl) in islands.iter().enumerate() {
-            merged.adopt_requester_state(own, isl);
-            merged.absorb_stats_delta(&base, isl);
-        }
-        assert_eq!(seq.contended_requests(), merged.contended_requests());
-        assert_eq!(seq.link_stats(), merged.link_stats());
-        let (mut ws, mut wm) = (SnapWriter::new(), SnapWriter::new());
-        seq.save_state(&mut ws);
-        merged.save_state(&mut wm);
-        assert_eq!(ws.into_bytes(), wm.into_bytes());
     }
 }

@@ -122,23 +122,6 @@ impl Sram {
     pub fn raw(&self) -> &[u8] {
         &self.data
     }
-
-    /// Parallel-island merge: copy `other`'s bytes over `[base, base+len)`
-    /// without touching the access statistics — this is host-side state
-    /// reconciliation, not simulated traffic.
-    pub fn adopt_range(&mut self, base: u32, len: u32, other: &Sram) {
-        let (a, b) = (base as usize, (base + len) as usize);
-        self.data[a..b].copy_from_slice(&other.data[a..b]);
-    }
-
-    /// Parallel-island merge: add the access counters `other` accumulated
-    /// beyond the shared baseline `base` onto `self` (exact u64 deltas).
-    pub fn absorb_stats_delta(&mut self, base: &SramStats, other: &SramStats) {
-        self.stats.reads += other.reads - base.reads;
-        self.stats.writes += other.writes - base.writes;
-        self.stats.bytes_read += other.bytes_read - base.bytes_read;
-        self.stats.bytes_written += other.bytes_written - base.bytes_written;
-    }
 }
 
 impl Snapshot for Sram {

@@ -50,35 +50,6 @@ pub trait SyncFabric: std::fmt::Debug {
     /// Cumulative routing statistics.
     fn stats(&self) -> SyncFabricStats;
 
-    /// Lower bound on the transit time of any cross-shell message, given
-    /// the shells' configured `base_latency` — the sync-plane lookahead
-    /// a conservative parallel partitioning may bank on: a `putspace`
-    /// departing shell *s* at cycle `t` cannot be observable on another
-    /// shell before `t + min_transit_cycles(base)`. The default is the
-    /// base latency itself (every backend honors it as the minimum
-    /// cost); topologies add their cheapest cross-shell path on top.
-    fn min_transit_cycles(&self, base_latency: u64) -> Cycle {
-        base_latency
-    }
-
-    /// Whether routing one shell's message can move the arrival time of
-    /// another shell's later messages — i.e. the network holds state
-    /// (shared links, arbiters) that couples otherwise-independent
-    /// shells. A coupling network closes the conservative parallel
-    /// partitioner's gate even when the data fabric is private-ported:
-    /// replicated islands would each mutate their own copy of the shared
-    /// link clocks and disagree with the sequential reference. Stateless
-    /// networks keep the default `false`.
-    fn couples_islands(&self) -> bool {
-        false
-    }
-
-    /// Fold the statistics `other` accumulated *beyond* the shared
-    /// baseline `base` into this fabric (parallel-island merge). Only
-    /// meaningful for non-coupling networks — coupling networks are never
-    /// replicated, so the default is a no-op.
-    fn absorb_stats_delta(&mut self, _base: SyncFabricStats, _other: SyncFabricStats) {}
-
     /// Connect the fabric to a shared event-trace sink.
     fn attach_trace(&mut self, sink: &SharedTraceSink);
 
@@ -168,7 +139,6 @@ impl SyncFabricConfig {
                 link_occupancy,
                 piggyback_window,
             } => Box::new(MeshSyncFabric::new(
-                n_shells,
                 cols as usize,
                 rows as usize,
                 hop_latency,
@@ -206,13 +176,6 @@ impl SyncFabric for DirectSyncFabric {
 
     fn stats(&self) -> SyncFabricStats {
         self.stats
-    }
-
-    fn absorb_stats_delta(&mut self, base: SyncFabricStats, other: SyncFabricStats) {
-        self.stats.messages += other.messages - base.messages;
-        self.stats.hops += other.hops - base.hops;
-        self.stats.contended += other.contended - base.contended;
-        self.stats.wait_cycles += other.wait_cycles - base.wait_cycles;
     }
 
     fn attach_trace(&mut self, _sink: &SharedTraceSink) {}
@@ -264,19 +227,6 @@ impl RingSyncFabric {
 impl SyncFabric for RingSyncFabric {
     fn kind(&self) -> &'static str {
         "ring"
-    }
-
-    /// The ring's links are shared: any message holds `link_free` slots
-    /// that later messages from *other* shells observe, so replicated
-    /// islands would diverge from the sequential reference.
-    fn couples_islands(&self) -> bool {
-        true
-    }
-
-    /// Any cross-shell message traverses at least one link, so the ring
-    /// adds one `hop_latency` to the shells' base latency.
-    fn min_transit_cycles(&self, base_latency: u64) -> Cycle {
-        base_latency + self.hop_latency
     }
 
     fn route(&mut self, depart: Cycle, src: ShellId, dst: ShellId, base_latency: u64) -> Cycle {
@@ -359,12 +309,10 @@ impl SyncFabric for RingSyncFabric {
 /// new link slot (and cannot be the *victim* of occupancy queueing).
 ///
 /// Like the ring, the per-link free clocks are state shared between
-/// shells, so the network [`SyncFabric::couples_islands`] and the
-/// conservative parallel gate stays closed whenever it is selected.
+/// shells.
 #[derive(Debug)]
 pub struct MeshSyncFabric {
     geom: eclipse_mem::MeshGeometry,
-    n_shells: usize,
     hop_latency: u64,
     link_occupancy: u64,
     piggyback_window: u64,
@@ -380,9 +328,9 @@ pub struct MeshSyncFabric {
 }
 
 impl MeshSyncFabric {
-    /// A new idle `cols × rows` mesh serving `n_shells` shells.
+    /// A new idle `cols × rows` mesh; shell `s` injects at node
+    /// `s % (cols × rows)`.
     pub fn new(
-        n_shells: usize,
         cols: usize,
         rows: usize,
         hop_latency: u64,
@@ -394,7 +342,6 @@ impl MeshSyncFabric {
             link_free: vec![0; geom.n_links()],
             last_grant: vec![Cycle::MAX; geom.n_links()],
             geom,
-            n_shells,
             hop_latency,
             link_occupancy: link_occupancy.max(1),
             piggyback_window,
@@ -431,23 +378,6 @@ impl MeshSyncFabric {
 impl SyncFabric for MeshSyncFabric {
     fn kind(&self) -> &'static str {
         "mesh"
-    }
-
-    /// Link free clocks and piggy-back anchors are shared between
-    /// shells: replicated islands would diverge.
-    fn couples_islands(&self) -> bool {
-        true
-    }
-
-    /// When every shell owns a distinct node (`n_shells <= nodes`), any
-    /// cross-shell message crosses at least one link; otherwise two
-    /// shells may share a node and the floor is the base latency alone.
-    fn min_transit_cycles(&self, base_latency: u64) -> Cycle {
-        if self.n_shells <= self.geom.nodes() {
-            base_latency + self.hop_latency
-        } else {
-            base_latency
-        }
     }
 
     fn route(&mut self, depart: Cycle, src: ShellId, dst: ShellId, base_latency: u64) -> Cycle {
@@ -581,22 +511,21 @@ mod tests {
     #[test]
     fn mesh_charges_per_hop() {
         // 2×2 grid, four shells (one per node), no piggy-backing.
-        let mut f = MeshSyncFabric::new(4, 2, 2, 3, 1, 0);
+        let mut f = MeshSyncFabric::new(2, 2, 3, 1, 0);
         // Shell 0 (node 0,0) → shell 3 (node 1,1): two XY hops.
         assert_eq!(f.hops(ShellId(0), ShellId(3)), 2);
         assert_eq!(f.route(0, ShellId(0), ShellId(3), 4), 4 + 2 * 3);
         // Local delivery never touches a link.
         assert_eq!(f.route(50, ShellId(2), ShellId(2), 4), 54);
         assert_eq!(f.stats().hops, 2);
-        // Every shell owns a distinct node, so the transit floor
-        // includes one hop.
-        assert_eq!(f.min_transit_cycles(4), 7);
-        assert!(f.couples_islands());
+        // Shells 0 and 4 share node 0: a zero-hop route at base latency.
+        assert_eq!(f.route(60, ShellId(0), ShellId(4), 4), 64);
+        assert_eq!(f.stats().hops, 2);
     }
 
     #[test]
     fn mesh_links_contend() {
-        let mut f = MeshSyncFabric::new(4, 2, 2, 2, 10, 0);
+        let mut f = MeshSyncFabric::new(2, 2, 2, 10, 0);
         let a = f.route(0, ShellId(0), ShellId(1), 4);
         assert_eq!(a, 6); // base 4 + one hop of 2
                           // Same east link, same instant: queues the full occupancy
@@ -612,7 +541,7 @@ mod tests {
 
     #[test]
     fn mesh_piggyback_rides_recent_flit() {
-        let mut f = MeshSyncFabric::new(4, 2, 2, 2, 10, 5);
+        let mut f = MeshSyncFabric::new(2, 2, 2, 10, 5);
         // First flit reserves the east link at cycle 4 (free again at 14).
         assert_eq!(f.route(0, ShellId(0), ShellId(1), 4), 6);
         // Entering the link 2 cycles later — inside the 5-cycle window —
@@ -628,28 +557,19 @@ mod tests {
     }
 
     #[test]
-    fn mesh_transit_floor_drops_when_shells_share_nodes() {
-        // Five shells on a 2×2 grid: shells 0 and 4 share node 0, so a
-        // zero-hop route exists and the floor is the base latency.
-        let mut f = MeshSyncFabric::new(5, 2, 2, 3, 1, 0);
-        assert_eq!(f.min_transit_cycles(4), 4);
-        assert_eq!(f.route(0, ShellId(0), ShellId(4), 4), 4);
-    }
-
-    #[test]
     fn mesh_snapshot_restores_links_mid_route() {
         let drive = |f: &mut MeshSyncFabric| {
             f.route(0, ShellId(0), ShellId(3), 4);
             f.route(1, ShellId(1), ShellId(2), 4);
             f.route(2, ShellId(0), ShellId(1), 4)
         };
-        let mut live = MeshSyncFabric::new(4, 2, 2, 2, 10, 3);
+        let mut live = MeshSyncFabric::new(2, 2, 2, 10, 3);
         drive(&mut live);
         let mut w = SnapWriter::new();
         live.save_state(&mut w);
         let bytes = w.into_bytes();
 
-        let mut restored = MeshSyncFabric::new(4, 2, 2, 2, 10, 3);
+        let mut restored = MeshSyncFabric::new(2, 2, 2, 10, 3);
         let mut r = SnapReader::new(&bytes);
         restored.load_state(&mut r).unwrap();
         assert_eq!(restored.stats(), live.stats());
@@ -673,7 +593,7 @@ mod tests {
     fn mesh_route_is_deterministic() {
         let runs: Vec<Vec<Cycle>> = (0..2)
             .map(|_| {
-                let mut f = MeshSyncFabric::new(6, 3, 2, 2, 3, 4);
+                let mut f = MeshSyncFabric::new(3, 2, 2, 3, 4);
                 (0..50u64)
                     .map(|i| {
                         let src = ShellId((i % 6) as u16);

@@ -25,13 +25,11 @@
 //! order is the total order `(time, key, seq)`: time first, then key, and
 //! FIFO (scheduling order) only among events with equal time *and* key.
 //!
-//! Keys exist for the parallel engine: when a caller derives the key from
-//! the event's *content* (not from scheduling history), the relative order
-//! of two same-cycle events from causally independent islands is decided
-//! by their keys alone — so a run that was split across islands and
-//! re-merged pops in exactly the same order as the sequential reference.
-//! Callers that don't need this (benches, the island engine) use the
-//! unkeyed API and get plain `(time, seq)` FIFO, exactly as before.
+//! The simulator derives each key from the event's *content* (see
+//! `event_key` in `eclipse-core`), so same-cycle events pop in an order
+//! that does not depend on scheduling history. That keyed order is part
+//! of the committed timing. Callers that don't need it (benches) use the
+//! unkeyed API and get plain `(time, seq)` FIFO.
 //!
 //! Host-performance rule (see `DESIGN.md` "Host performance"): swapping
 //! calendar implementations must never change simulated timing — both
@@ -295,31 +293,6 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// The next event in pop order, without popping it or advancing time.
-    /// Follows exactly the same wheel/heap tie-break as [`Calendar::pop`].
-    pub fn peek(&self) -> Option<(Cycle, &E)> {
-        self.peek_keyed().map(|(t, _, e)| (t, e))
-    }
-
-    /// [`Calendar::peek`], also exposing the event's ordering key.
-    pub fn peek_keyed(&self) -> Option<(Cycle, u64, &E)> {
-        let wheel = self.wheel_peek();
-        let far = self.far.peek().map(|e| (e.time, e.key));
-        let from_far = match (wheel, far) {
-            (None, None) => return None,
-            (Some(_), None) => false,
-            (None, Some(_)) => true,
-            (Some((wt, wk, _, _)), Some((ft, fk))) => (ft, fk) <= (wt, wk),
-        };
-        if from_far {
-            let entry = self.far.peek().expect("peeked entry present");
-            Some((entry.time, entry.key, &entry.event))
-        } else {
-            let (time, key, slot, i) = wheel.expect("wheel path requires a wheel event");
-            Some((time, key, &self.slots[slot][i].1))
-        }
-    }
-
     /// Pop the earliest event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         self.pop_keyed().map(|(t, _, e)| (t, e))
@@ -512,11 +485,6 @@ impl<E> BaselineCalendar<E> {
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
         self.heap.peek().map(|e| e.time)
-    }
-
-    /// The next event in pop order, without popping it or advancing time.
-    pub fn peek(&self) -> Option<(Cycle, &E)> {
-        self.heap.peek().map(|e| (e.time, &e.event))
     }
 
     /// Pop the earliest event, advancing `now` to its timestamp.

@@ -8,8 +8,8 @@
 //! one class does not perturb the decision stream of another — a sweep
 //! over `sync_drop_rate` sees identical bus-error decisions at every
 //! point — and one shell's activity never shifts another shell's
-//! decisions, which is what lets parallel islands replay their fault
-//! streams independently.
+//! decisions, so adding, remapping or pausing an app perturbs only the
+//! fault streams of the shells it runs on.
 //!
 //! The plan is **off by default**: with all rates at zero the injector
 //! is never constructed, no RNG values are drawn, and the simulated
@@ -176,9 +176,7 @@ impl FaultLane {
 /// on whose behalf the decision is made (the *sender* shell for sync
 /// messages). Because each lane is derived purely from
 /// `(plan seed, shell)`, the decisions a shell sees are independent of
-/// how its activity interleaves with other shells' — the property that
-/// lets the parallel engine replay each island's fault stream in
-/// isolation and still match the sequential reference bit-for-bit.
+/// how its activity interleaves with other shells'.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -296,39 +294,6 @@ impl FaultInjector {
         } else {
             0
         }
-    }
-
-    /// Would the parallel engine change this plan's decisions? A *gated*
-    /// drop plan (skip window or bounded budget) arms drops off the
-    /// global message count, which depends on how islands interleave —
-    /// only the sequential engine preserves it. Unbounded drops and every
-    /// other class decide from per-shell streams alone.
-    pub fn order_sensitive(&self) -> bool {
-        self.plan.sync_drop_rate > 0.0
-            && (self.plan.sync_drop_skip > 0 || self.plan.sync_drop_limit != u64::MAX)
-    }
-
-    /// Parallel-island merge: graft `other`'s decision-stream lane for
-    /// `shell` into `self`, creating fresh intermediate lanes exactly as
-    /// lazy growth would have. A lane `other` never grew is left fresh —
-    /// equivalent, since an ungrown lane has drawn nothing.
-    pub fn adopt_shell_stream(&mut self, shell: usize, other: &FaultInjector) {
-        if shell < other.lanes.len() {
-            let _ = self.lane(shell); // grow
-            self.lanes[shell] = other.lanes[shell].clone();
-        }
-    }
-
-    /// Parallel-island merge: add the fault counters `other` accumulated
-    /// beyond the shared baseline `base` onto `self` (exact u64 deltas).
-    pub fn absorb_stats_delta(&mut self, base: &FaultInjector, other: &FaultInjector) {
-        self.stats.sync_dropped += other.stats.sync_dropped - base.stats.sync_dropped;
-        self.stats.sync_delayed += other.stats.sync_delayed - base.stats.sync_delayed;
-        self.stats.credits_lost += other.stats.credits_lost - base.stats.credits_lost;
-        self.stats.bus_errors += other.stats.bus_errors - base.stats.bus_errors;
-        self.stats.sram_flips += other.stats.sram_flips - base.stats.sram_flips;
-        self.stats.coproc_stalls += other.stats.coproc_stalls - base.stats.coproc_stalls;
-        self.syncs_seen += other.syncs_seen - base.syncs_seen;
     }
 }
 
@@ -496,7 +461,7 @@ mod tests {
     fn shells_draw_independently() {
         // One shell's activity must not perturb another shell's decision
         // stream: shell 2's draws match whether or not shells 0/1 drew
-        // in between (the parallel-island invariant).
+        // in between.
         let plan = FaultPlan {
             sync_drop_rate: 0.2,
             sync_delay_rate: 0.2,
@@ -518,26 +483,6 @@ mod tests {
             assert_eq!(interleaved.bus_penalty(2), solo.bus_penalty(2), "bus {i}");
             assert_eq!(interleaved.step_stall(2), solo.step_stall(2), "stall {i}");
         }
-    }
-
-    #[test]
-    fn order_sensitivity_is_limited_to_gated_drops() {
-        assert!(!FaultInjector::new(FaultPlan::default()).order_sensitive());
-        let unbounded = FaultPlan {
-            sync_drop_rate: 0.1,
-            ..FaultPlan::with_seed(1)
-        };
-        assert!(!FaultInjector::new(unbounded.clone()).order_sensitive());
-        let skipped = FaultPlan {
-            sync_drop_skip: 10,
-            ..unbounded.clone()
-        };
-        assert!(FaultInjector::new(skipped).order_sensitive());
-        let bounded = FaultPlan {
-            sync_drop_limit: 3,
-            ..unbounded
-        };
-        assert!(FaultInjector::new(bounded).order_sensitive());
     }
 
     #[test]

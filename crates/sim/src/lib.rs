@@ -18,11 +18,7 @@
 //!   architecture components, and
 //! * deterministic fault injection ([`fault::FaultPlan`],
 //!   [`fault::FaultInjector`]) for chaos experiments — off by default
-//!   and bit-transparent when disabled, and
-//! * a conservative parallel engine ([`island::IslandSim`]) that runs a
-//!   partitioned model across threads under a barrier-window protocol
-//!   with an explicit lookahead, producing bit-identical event order and
-//!   fingerprints to its single-threaded reference.
+//!   and bit-transparent when disabled.
 //!
 //! ## Determinism
 //!
@@ -34,7 +30,6 @@
 
 pub mod calendar;
 pub mod fault;
-pub mod island;
 pub mod rng;
 pub mod snapshot;
 pub mod stats;
@@ -43,7 +38,6 @@ pub mod trace;
 
 pub use calendar::{BaselineCalendar, Calendar};
 pub use fault::{corrupt_bytes, FaultInjector, FaultPlan, FaultStats, SyncAction};
-pub use island::{IslandCtx, IslandHandler, IslandId, IslandSim, RunReport};
 pub use snapshot::{fnv1a_64, FnvState, SnapError, SnapReader, SnapWriter, Snapshot};
 pub use stats::{Histogram, HistogramStat, RunningStat};
 pub use time::{Clock, Cycle, Frequency};

@@ -181,12 +181,8 @@ impl HistogramStat {
 /// Bucket `i` counts samples `x` with `floor(log2(x)) == i - 1`; bucket 0
 /// counts zeros.
 ///
-/// The scalar accumulators are exact integers (count/sum/min/max), which
-/// makes the histogram **delta-mergeable**: splitting a sample stream
-/// across parallel islands and re-merging with [`Histogram::absorb_delta`]
-/// reproduces the sequential accumulator state bit-for-bit — impossible
-/// with floating-point Welford state, whose rounding depends on sample
-/// order.
+/// The scalar accumulators are exact integers (count/sum/min/max), so
+/// checkpoints round-trip them bit-for-bit.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Histogram {
     buckets: Vec<u64>,
@@ -237,27 +233,6 @@ impl Histogram {
             min: if self.count == 0 { 0 } else { self.min },
             max: self.max,
         }
-    }
-
-    /// Merge the samples `other` recorded *beyond* the shared baseline
-    /// `base` into `self` (parallel-island stat merge). `other` must be a
-    /// superset continuation of `base` — the caller guarantees every
-    /// sample in `base` was also recorded in `other`, so bucket counts and
-    /// sums subtract exactly and min/max combine by simple comparison.
-    pub fn absorb_delta(&mut self, base: &Histogram, other: &Histogram) {
-        debug_assert_eq!(self.buckets.len(), base.buckets.len());
-        debug_assert_eq!(self.buckets.len(), other.buckets.len());
-        for (b, (ob, bb)) in self
-            .buckets
-            .iter_mut()
-            .zip(other.buckets.iter().zip(base.buckets.iter()))
-        {
-            *b += ob - bb;
-        }
-        self.count += other.count - base.count;
-        self.sum += other.sum - base.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Approximate quantile from the bucket boundaries (upper bound of the
@@ -575,41 +550,6 @@ mod tests {
         // And with an actual zero sample, q = 0 still reports 0.
         h.record(0);
         assert_eq!(h.quantile_upper_bound(0.0), 0);
-    }
-
-    #[test]
-    fn histogram_absorb_delta_matches_sequential() {
-        // base ⊂ a, base ⊂ b (each island continues from the shared
-        // checkpoint); merging the deltas onto base reproduces the
-        // histogram that recorded all samples in one stream.
-        let samples_base = [3u64, 0, 17, 255];
-        let samples_a = [9u64, 1024, 2];
-        let samples_b = [7u64, 7, 63];
-        let mut base = Histogram::new(12);
-        for &s in &samples_base {
-            base.record(s);
-        }
-        let (mut a, mut b) = (base.clone(), base.clone());
-        for &s in &samples_a {
-            a.record(s);
-        }
-        for &s in &samples_b {
-            b.record(s);
-        }
-        let mut merged = base.clone();
-        merged.absorb_delta(&base, &a);
-        merged.absorb_delta(&base, &b);
-        let mut whole = base.clone();
-        for &s in samples_a.iter().chain(&samples_b) {
-            whole.record(s);
-        }
-        assert_eq!(merged.buckets(), whole.buckets());
-        assert_eq!(merged.stat(), whole.stat());
-        // Byte-identical snapshot state, not just equal accessors.
-        let (mut w1, mut w2) = (SnapWriter::new(), SnapWriter::new());
-        merged.save(&mut w1);
-        whole.save(&mut w2);
-        assert_eq!(w1.into_bytes(), w2.into_bytes());
     }
 
     #[test]

@@ -999,282 +999,9 @@ impl TraceHandle {
     }
 }
 
-// ---- sharded emission ---------------------------------------------------
-
-/// A private, island-local event buffer for parallel emission.
-///
-/// Worker threads cannot share the `Rc<RefCell<_>>` sink, so each island
-/// emits into its own shard — interning labels into a shard-local table
-/// in whatever order its events happen to need them — and the shards are
-/// merged afterwards with [`TraceSink::absorb_shards`].
-///
-/// The merge is deterministic by construction:
-///
-/// * **Label ids** are assigned from the *sorted union* of all shard
-///   label strings, so the final id of a label is independent of which
-///   shard interned it first (or of how many shards exist at all).
-/// * **Event order** is the stable sort by `(cycle, shard, shard_seq)` —
-///   simulated time first, then the shard id and the shard's own
-///   emission sequence as tie-breaks. All three are simulation-derived;
-///   none depends on thread scheduling.
-///
-/// The parity contract (asserted in the tests): the same logical events
-/// split across any number of shards absorb to byte-identical sink
-/// contents and exporter output.
-#[derive(Debug, Clone, Default)]
-pub struct TraceShard {
-    events: Vec<TraceEvent>,
-    labels: Vec<String>,
-    by_label: HashMap<String, LabelId>,
-}
-
-impl TraceShard {
-    /// An empty shard.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Intern a label into the shard-local table. The returned id is
-    /// *provisional* — valid only within this shard until absorbed.
-    pub fn intern(&mut self, name: &str) -> LabelId {
-        if let Some(&id) = self.by_label.get(name) {
-            return id;
-        }
-        let id = LabelId(self.labels.len() as u32);
-        self.labels.push(name.to_string());
-        self.by_label.insert(name.to_string(), id);
-        id
-    }
-
-    /// Append an event built with this shard's provisional label ids.
-    pub fn emit(&mut self, event: TraceEvent) {
-        self.events.push(event);
-    }
-
-    /// Buffered event count.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no events are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-/// Rewrite every label id inside `kind` through `map`.
-fn remap_kind(kind: TraceEventKind, map: &[LabelId]) -> TraceEventKind {
-    use TraceEventKind as K;
-    let m = |id: LabelId| map[id.0 as usize];
-    match kind {
-        K::TaskSelected { task, switched } => K::TaskSelected {
-            task: m(task),
-            switched,
-        },
-        K::Step { task, busy, stall } => K::Step {
-            task: m(task),
-            busy,
-            stall,
-        },
-        K::RunEnd { outcome } => K::RunEnd {
-            outcome: m(outcome),
-        },
-        K::Counter { track, value } => K::Counter {
-            track: m(track),
-            value,
-        },
-        K::Fault { class, magnitude } => K::Fault {
-            class: m(class),
-            magnitude,
-        },
-        K::AppMapped {
-            app,
-            sram_bytes,
-            tasks,
-        } => K::AppMapped {
-            app: m(app),
-            sram_bytes,
-            tasks,
-        },
-        K::AppPaused { app } => K::AppPaused { app: m(app) },
-        K::AppResumed { app } => K::AppResumed { app: m(app) },
-        K::AppDrained { app, wait_cycles } => K::AppDrained {
-            app: m(app),
-            wait_cycles,
-        },
-        K::AppUnmapped { app, sram_bytes } => K::AppUnmapped {
-            app: m(app),
-            sram_bytes,
-        },
-        other => other,
-    }
-}
-
-impl TraceSink {
-    /// Merge island shards into this sink deterministically (see
-    /// [`TraceShard`]): labels are interned from the sorted union of all
-    /// shard tables, every event's ids are rewritten, and events are
-    /// emitted in `(cycle, shard, shard_seq)` order.
-    pub fn absorb_shards(&mut self, shards: &[TraceShard]) {
-        let mut union: Vec<&str> = shards
-            .iter()
-            .flat_map(|s| s.labels.iter().map(String::as_str))
-            .collect();
-        union.sort_unstable();
-        union.dedup();
-        for name in union {
-            self.intern(name);
-        }
-        let maps: Vec<Vec<LabelId>> = shards
-            .iter()
-            .map(|s| s.labels.iter().map(|l| self.by_label[l]).collect())
-            .collect();
-        let mut merged: Vec<(Cycle, usize, usize, TraceEvent)> = Vec::new();
-        for (si, shard) in shards.iter().enumerate() {
-            for (ei, e) in shard.events.iter().enumerate() {
-                merged.push((
-                    e.cycle,
-                    si,
-                    ei,
-                    TraceEvent {
-                        cycle: e.cycle,
-                        unit: maps[si][e.unit.0 as usize],
-                        kind: remap_kind(e.kind, &maps[si]),
-                    },
-                ));
-            }
-        }
-        merged.sort_by_key(|&(cycle, si, ei, _)| (cycle, si, ei));
-        for (_, _, _, e) in merged {
-            self.emit(e);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The same logical events routed through 1 shard vs 3 shards (with
-    /// deliberately different intern orders) must absorb to
-    /// byte-identical sink state and exporter output.
-    #[test]
-    fn shard_merge_is_deterministic_and_shard_count_invariant() {
-        // Logical stream: (cycle, unit name, task name or counter).
-        let stream: Vec<(Cycle, &str, &str)> = vec![
-            (5, "shell/dct", "dct.task"),
-            (5, "shell/vld", "vld.task"),
-            (7, "shell/dct", "dct.task"),
-            (9, "bus/read", "ignored"),
-            (9, "shell/vld", "vld.task"),
-        ];
-        let fill = |shard: &mut TraceShard, rows: &[(Cycle, &str, &str)]| {
-            for &(cycle, unit, task) in rows {
-                let unit_id = shard.intern(unit);
-                let kind = if unit.starts_with("bus/") {
-                    TraceEventKind::BusGrant {
-                        bytes: 64,
-                        wait: 1,
-                        busy: 4,
-                    }
-                } else {
-                    let t = shard.intern(task);
-                    TraceEventKind::TaskSelected {
-                        task: t,
-                        switched: false,
-                    }
-                };
-                shard.emit(TraceEvent {
-                    cycle,
-                    unit: unit_id,
-                    kind,
-                });
-            }
-        };
-
-        // One shard, natural order.
-        let mut one = TraceShard::new();
-        fill(&mut one, &stream);
-        let mut sink_one = TraceSink::new(64);
-        sink_one.absorb_shards(std::slice::from_ref(&one));
-
-        // Three shards: round-robin split, and shard 2 pre-interns extra
-        // labels first so its local ids are shifted.
-        let mut shards = vec![TraceShard::new(), TraceShard::new(), TraceShard::new()];
-        shards[2].intern("zzz/unused");
-        shards[2].intern("shell/vld");
-        for (i, row) in stream.iter().enumerate() {
-            fill(&mut shards[i % 3], std::slice::from_ref(row));
-        }
-        let mut sink_many = TraceSink::new(64);
-        sink_many.absorb_shards(&shards);
-
-        // The unused label is interned by shard 2 but referenced by no
-        // event; it still lands in the table (sorted last), without
-        // disturbing event bytes.
-        assert_eq!(
-            sink_many.label(LabelId(sink_many.labels.len() as u32 - 1)),
-            "zzz/unused"
-        );
-
-        // Events must agree exactly: same cycles, units, payload labels.
-        let a: Vec<_> = sink_one.events().cloned().collect();
-        let b: Vec<_> = sink_many.events().cloned().collect();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.cycle, y.cycle);
-            assert_eq!(sink_one.label(x.unit), sink_many.label(y.unit));
-            match (x.kind, y.kind) {
-                (
-                    TraceEventKind::TaskSelected { task: ta, .. },
-                    TraceEventKind::TaskSelected { task: tb, .. },
-                ) => assert_eq!(sink_one.label(ta), sink_many.label(tb)),
-                (ka, kb) => assert_eq!(ka, kb),
-            }
-        }
-        // And the rendered exports are byte-identical.
-        assert_eq!(sink_one.to_csv(), sink_many.to_csv());
-        assert_eq!(sink_one.to_chrome_trace(), sink_many.to_chrome_trace());
-    }
-
-    #[test]
-    fn shard_equal_cycle_events_order_by_shard_then_seq() {
-        let mut s0 = TraceShard::new();
-        let mut s1 = TraceShard::new();
-        let u0 = s0.intern("a");
-        let u1 = s1.intern("b");
-        // Same cycle everywhere: order must be shard 0's events (in
-        // emission order), then shard 1's.
-        s1.emit(TraceEvent {
-            cycle: 3,
-            unit: u1,
-            kind: TraceEventKind::TaskIdle,
-        });
-        s0.emit(TraceEvent {
-            cycle: 3,
-            unit: u0,
-            kind: TraceEventKind::TaskIdle,
-        });
-        s0.emit(TraceEvent {
-            cycle: 3,
-            unit: u0,
-            kind: TraceEventKind::Sample,
-        });
-        let mut sink = TraceSink::new(16);
-        sink.absorb_shards(&[s0, s1]);
-        let got: Vec<_> = sink
-            .events()
-            .map(|e| (sink.label(e.unit).to_string(), e.kind.name()))
-            .collect();
-        assert_eq!(
-            got,
-            vec![
-                ("a".to_string(), "task_idle"),
-                ("a".to_string(), "sample"),
-                ("b".to_string(), "task_idle"),
-            ]
-        );
-    }
 
     fn sink_with(n: usize) -> TraceSink {
         let mut s = TraceSink::new(16);

@@ -172,6 +172,13 @@ fn fabric_combos(cfg: &EclipseConfig) -> Vec<(String, DataFabricConfig, SyncFabr
                 bank,
             },
         ),
+        (
+            "private",
+            DataFabricConfig::PrivatePort {
+                grant_cycles: 2,
+                port: bank,
+            },
+        ),
     ] {
         for (sl, sync) in [("direct", SyncFabricConfig::Direct), ("ring", ring)] {
             combos.push((format!("{dl}+{sl}"), data, sync));
