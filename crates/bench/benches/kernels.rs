@@ -173,11 +173,12 @@ fn bench_shell() {
             BusConfig::default(),
         );
         let mut now = 0u64;
+        let mut msgs = Vec::new();
         for _ in 0..16 {
             shell.get_space(TaskIdx(0), 0, 64, now);
             shell.write(TaskIdx(0), 0, 0, &[1u8; 64], now, &mut mem);
-            let out = shell.put_space(TaskIdx(0), 0, 64, now, &mut mem);
-            now = out.done + 1;
+            msgs.clear();
+            now = shell.put_space(TaskIdx(0), 0, 64, now, &mut mem, &mut msgs) + 1;
             // Recycle the room locally so the loop can continue.
             let msg = eclipse_shell::SyncMsg {
                 src: AccessPoint {

@@ -21,6 +21,9 @@ pub struct PipeCoproc {
     /// it, and two builds of the same system must produce identical bytes.
     done: std::collections::BTreeMap<TaskIdx, u32>,
     kind: Kind,
+    /// One packet of scratch, reused by every step (each step overwrites
+    /// all of it before use).
+    payload: Vec<u8>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -88,6 +91,7 @@ impl PipeCoproc {
             compute,
             done: Default::default(),
             kind,
+            payload: vec![0; packet_bytes as usize],
         }
     }
 }
@@ -147,12 +151,12 @@ impl Coprocessor for PipeCoproc {
         if *count >= self.packets {
             return StepResult::Finished;
         }
-        let mut payload = vec![0u8; n as usize];
+        let payload = &mut self.payload;
         if self.kind != Kind::Source {
             if !ctx.get_space(IN, n) {
                 return StepResult::Blocked;
             }
-            ctx.read(IN, 0, &mut payload);
+            ctx.read(IN, 0, payload);
         } else {
             for (i, b) in payload.iter_mut().enumerate() {
                 *b = (*count as usize + i) as u8;
@@ -162,7 +166,7 @@ impl Coprocessor for PipeCoproc {
             if !ctx.get_space(out, n) {
                 return StepResult::Blocked;
             }
-            ctx.write(out, 0, &payload);
+            ctx.write(out, 0, payload);
         }
         ctx.compute(self.compute);
         if self.kind != Kind::Source {

@@ -12,8 +12,8 @@
 //! A simulated coprocessor implements [`Coprocessor`]. Its
 //! [`Coprocessor::step`] runs one processing step against a [`StepCtx`],
 //! which provides the primitives, accounts every cycle of cost (compute,
-//! handshakes, cache stalls, off-chip accesses), and collects the
-//! `putspace` messages for the event loop.
+//! handshakes, cache stalls, off-chip accesses), and appends the
+//! `putspace` messages to a buffer the event loop owns and reuses.
 //!
 //! ## Abort discipline
 //!
@@ -53,7 +53,9 @@ pub struct StepCtx<'a> {
     step_start: Cycle,
     cost: u64,
     stall: u64,
-    msgs: Vec<SyncMsg>,
+    /// The event loop's message buffer (empty at step start); `PutSpace`
+    /// appends here, so a step allocates nothing for its messages.
+    msgs: &'a mut Vec<SyncMsg>,
     put_called: bool,
     /// Deterministic fault injector (None in normal runs — the hooks
     /// then take the exact same code path and draw no RNG values).
@@ -72,6 +74,7 @@ impl<'a> StepCtx<'a> {
         step_start: Cycle,
         initial_cost: u64,
         fault: Option<&'a mut FaultInjector>,
+        msgs: &'a mut Vec<SyncMsg>,
     ) -> Self {
         StepCtx {
             shell,
@@ -82,7 +85,7 @@ impl<'a> StepCtx<'a> {
             step_start,
             cost: initial_cost,
             stall: 0,
-            msgs: Vec::new(),
+            msgs,
             put_called: false,
             fault,
         }
@@ -176,10 +179,8 @@ impl<'a> StepCtx<'a> {
     pub fn put_space(&mut self, port: PortId, n_bytes: u32) {
         self.cost += self.shell.cfg.putspace_cost;
         let now = self.now();
-        let outcome = self
-            .shell
-            .put_space(self.task, port, n_bytes, now, self.mem);
-        self.msgs.extend(outcome.msgs);
+        self.shell
+            .put_space(self.task, port, n_bytes, now, self.mem, self.msgs);
         self.put_called = true;
     }
 
@@ -241,9 +242,10 @@ impl<'a> StepCtx<'a> {
         self.cost += accept.saturating_sub(now);
     }
 
-    /// Dismantle into (cost, stall, messages, put_called).
-    pub(crate) fn finish(self) -> (u64, u64, Vec<SyncMsg>, bool) {
-        (self.cost, self.stall, self.msgs, self.put_called)
+    /// Dismantle into (cost, stall, put_called); the messages stay in
+    /// the buffer passed to [`StepCtx::new`].
+    pub(crate) fn finish(self) -> (u64, u64, bool) {
+        (self.cost, self.stall, self.put_called)
     }
 }
 

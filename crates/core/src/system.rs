@@ -218,6 +218,11 @@ pub struct EclipseSystem {
     /// scheduled; guards resumed runs against double kickoff.
     started: bool,
     cal: Calendar<Event>,
+    /// `putspace` messages of the step being executed: every step's
+    /// [`StepCtx`](crate::StepCtx) appends here and the run loop drains
+    /// it, so the buffer is allocated once and reused. Empty between
+    /// events, hence not part of checkpoints.
+    step_msgs: Vec<SyncMsg>,
     idle_since: Vec<Option<Cycle>>,
     utilization: Vec<Utilization>,
     trace: TraceLog,

@@ -272,6 +272,9 @@ impl EclipseSystem {
                     } else {
                         0
                     };
+                // The step appends its putspace messages to the system's
+                // reusable buffer, which is drained below and kept.
+                let mut msgs = std::mem::take(&mut self.step_msgs);
                 let mut ctx = StepCtx::new(
                     &mut self.shells[s],
                     &mut self.mem,
@@ -281,9 +284,10 @@ impl EclipseSystem {
                     now,
                     initial,
                     self.fault.as_mut(),
+                    &mut msgs,
                 );
                 let result = self.coprocs[s].step(task, info, &mut ctx);
-                let (cost, stall, msgs, put_called) = ctx.finish();
+                let (cost, stall, put_called) = ctx.finish();
                 let mut cost = cost.max(1); // forbid zero-cost livelock
                 let mut stall = stall;
                 // Injected coprocessor stall: the unit freezes mid-step.
@@ -338,7 +342,7 @@ impl EclipseSystem {
                 // network). An active fault injector may drop or delay
                 // individual messages.
                 let sync_latency = shell_cfg.sync_latency;
-                for mut msg in msgs {
+                for mut msg in msgs.drain(..) {
                     let mut extra_delay = 0u64;
                     if let Some(inj) = &mut self.fault {
                         // Keyed by the *sender* shell: the dice for a
@@ -403,6 +407,7 @@ impl EclipseSystem {
                         .add(msg.dst.shell.0 as usize, msg.dst.row.0, 1);
                     self.schedule_event(arrive, Event::Sync(msg));
                 }
+                self.step_msgs = msgs;
                 self.schedule_event(now + cost, Event::Step(s));
             }
         }

@@ -355,7 +355,6 @@ impl EclipseSystem {
             // this section is unchanged.
             events.push((time, event_key(&ev), ev));
         }
-        self.cal.restore(now, events);
 
         if r.usize()? != self.shells.len() {
             return Err(SnapError::Corrupt("shell count"));
@@ -363,6 +362,41 @@ impl EclipseSystem {
         for shell in &mut self.shells {
             shell.load_state(r)?;
         }
+        // The run loop routes by these access points and shell indices
+        // without checks: a checkpoint naming a missing shell or row is
+        // corrupt.
+        let exists = |ap: &AccessPoint| {
+            self.shells
+                .get(ap.shell.0 as usize)
+                .is_some_and(|sh| (ap.row.0 as usize) < sh.rows().len())
+        };
+        for shell in &self.shells {
+            if !shell.rows().iter().flat_map(|row| &row.remotes).all(exists) {
+                return Err(SnapError::Corrupt("row remote"));
+            }
+        }
+        for (_, _, ev) in &events {
+            let ok = match ev {
+                Event::Step(s) => *s < self.shells.len(),
+                // A live destination row must know the sender; a stale
+                // message (retired row or old generation) is dropped on
+                // delivery without a lookup.
+                Event::Sync(m) => {
+                    exists(&m.dst) && {
+                        let shell = &self.shells[m.dst.shell.0 as usize];
+                        let row = &shell.rows()[m.dst.row.0 as usize];
+                        row.retired
+                            || m.dst_gen != shell.row_generation(m.dst.row)
+                            || row.remotes.contains(&m.src)
+                    }
+                }
+                Event::Sample => true,
+            };
+            if !ok {
+                return Err(SnapError::Corrupt("calendar event target"));
+            }
+        }
+        self.cal.restore(now, events);
         for labels in &mut self.row_labels {
             let n = r.usize()?;
             labels.clear();

@@ -750,6 +750,68 @@ fn restore_rejects_foreign_and_corrupt_checkpoints() {
     sys.restore(&bytes).unwrap();
 }
 
+/// A checkpoint whose stream rows or pending events name a shell or row
+/// the system does not have is `SnapError::Corrupt`; before the check it
+/// restored and the run loop then panicked indexing `shells[..]`.
+#[test]
+fn restore_rejects_dangling_shell_and_row_references() {
+    use eclipse_mem::CyclicBuffer;
+    use eclipse_shell::{AccessPoint, PortDir, RowIdx, ShellId, StreamRowConfig};
+
+    let build = || pipeline_builder(256, 4096, 64).0.build();
+    for remote in [(7, 0), (1, 40)] {
+        let mut sys = build();
+        sys.shell_mut(0).add_stream_row(StreamRowConfig {
+            buffer: CyclicBuffer::new(0, 64),
+            dir: PortDir::Producer,
+            remotes: vec![AccessPoint {
+                shell: ShellId(remote.0),
+                row: RowIdx(remote.1),
+            }],
+        });
+        assert_eq!(
+            build().restore(&sys.save()),
+            Err(SnapError::Corrupt("row remote")),
+            "remote {remote:?}"
+        );
+    }
+
+    // Offsets of the pending events' payloads, by tag. Layout: magic,
+    // version and config digest (20 bytes), `now` and the event count
+    // (16), then per event its time (8), a tag and the payload (step:
+    // shell index; sync: src and dst access points, bytes, send time,
+    // generation; sample: nothing).
+    let mut sys = build();
+    sys.run_until(5_000);
+    let bytes = sys.save();
+    let n_events = u64::from_le_bytes(bytes[28..36].try_into().unwrap());
+    let (mut step, mut sync) = (None, None);
+    let mut at = 36;
+    for _ in 0..n_events {
+        let tag = bytes[at + 8];
+        at += 9;
+        match tag {
+            0 => step = step.or(Some(at)),
+            1 => sync = sync.or(Some(at)),
+            _ => {}
+        }
+        at += [8, 24, 0][tag as usize];
+    }
+    let (step, sync) = (step.unwrap(), sync.unwrap());
+    // A step of shell 99, a message to shell 99, and a message from a row
+    // its destination does not know.
+    for (at, value) in [(step, 99u16), (sync + 4, 99), (sync + 2, 77)] {
+        let mut m = bytes.clone();
+        m[at..at + 2].copy_from_slice(&value.to_le_bytes());
+        assert_eq!(
+            build().restore(&m),
+            Err(SnapError::Corrupt("calendar event target")),
+            "offset {at}"
+        );
+    }
+    build().restore(&bytes).unwrap();
+}
+
 #[test]
 fn restored_run_summary_and_traces_match_uninterrupted() {
     let build = || {

@@ -344,6 +344,7 @@ impl SystemBuilder {
             pending_syncs: PendingSyncs::new(n),
             started: false,
             cal: Calendar::new(),
+            step_msgs: Vec::new(),
             idle_since: vec![None; n],
             utilization: vec![Utilization::default(); n],
             trace: TraceLog::new(),

@@ -38,9 +38,7 @@ pub mod sync_fabric;
 pub mod task_table;
 
 pub use cache::{CacheConfig, CacheStats, MemSys, StreamCache};
-pub use shell::{
-    GetTaskResult, PutSpaceOutcome, SchedPolicy, Shell, ShellConfig, ShellStats, SyncMsg,
-};
+pub use shell::{GetTaskResult, SchedPolicy, Shell, ShellConfig, ShellStats, SyncMsg};
 pub use stream_table::{AccessPoint, PortDir, RowIdx, StreamRowConfig, StreamRowStats};
 pub use sync_fabric::{
     DirectSyncFabric, MeshSyncFabric, RingSyncFabric, SyncFabric, SyncFabricConfig, SyncFabricStats,

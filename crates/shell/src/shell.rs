@@ -88,16 +88,6 @@ pub struct SyncMsg {
     pub dst_gen: u32,
 }
 
-/// Result of a `PutSpace` call.
-#[derive(Debug, Clone)]
-pub struct PutSpaceOutcome {
-    /// Messages to deliver to remote shells (the caller adds
-    /// `sync_latency`).
-    pub msgs: Vec<SyncMsg>,
-    /// Cycle at which the local operation (including flush) completed.
-    pub done: Cycle,
-}
-
 /// Result of a `GetTask` call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GetTaskResult {
@@ -666,8 +656,9 @@ impl Shell {
 
     /// `PutSpace`: commit `n_bytes`. For a producer this flushes the
     /// committed interval first (coherency rule 3) and only then releases
-    /// the `putspace` messages; the returned messages carry their
-    /// earliest send time.
+    /// the `putspace` messages, one per remote, appended to `out` with
+    /// their earliest send time (the caller adds `sync_latency`). Returns
+    /// the cycle at which the local operation, flush included, completed.
     pub fn put_space(
         &mut self,
         task: TaskIdx,
@@ -675,7 +666,8 @@ impl Shell {
         n_bytes: u32,
         now: Cycle,
         mem: &mut MemSys,
-    ) -> PutSpaceOutcome {
+        out: &mut Vec<SyncMsg>,
+    ) -> Cycle {
         let row_idx = self.row_of(task, port);
         let row = &mut self.rows[row_idx.0 as usize];
         let flush_done = if row.dir == PortDir::Producer && !self.disable_flush {
@@ -703,23 +695,19 @@ impl Shell {
             shell: self.id,
             row: row_idx,
         };
-        let msgs: Vec<SyncMsg> = row
-            .remotes
-            .iter()
-            .map(|&dst| SyncMsg {
-                src,
-                dst,
-                bytes: n_bytes,
-                send_at: flush_done,
-                // Placeholder: the sync network stamps the destination
-                // row's real generation at send time (the sending shell
-                // has no view of remote tables).
-                dst_gen: 0,
-            })
-            .collect();
-        self.stats.messages_sent += msgs.len() as u64;
+        out.extend(row.remotes.iter().map(|&dst| SyncMsg {
+            src,
+            dst,
+            bytes: n_bytes,
+            send_at: flush_done,
+            // Placeholder: the sync network stamps the destination row's
+            // real generation at send time (the sending shell has no view
+            // of remote tables).
+            dst_gen: 0,
+        }));
+        self.stats.messages_sent += row.remotes.len() as u64;
         if let Some(tr) = &self.trace {
-            if !msgs.is_empty() {
+            if !row.remotes.is_empty() {
                 tr.emit(
                     now,
                     TraceEventKind::PutSpaceSend {
@@ -730,10 +718,7 @@ impl Shell {
                 );
             }
         }
-        PutSpaceOutcome {
-            msgs,
-            done: flush_done,
-        }
+        flush_done
     }
 
     /// Deliver an incoming `putspace` message to a local row. Returns true
@@ -867,10 +852,29 @@ impl Shell {
         for _ in 0..n_tasks {
             tasks.push(TaskRow::load_state(r)?);
         }
+        // The primitives and the scheduler index the tables through these
+        // cross-references unchecked: reject them here rather than panic
+        // later in a run.
+        for t in &tasks {
+            if t.cfg.ports.iter().any(|p| p.0 as usize >= rows.len()) {
+                return Err(SnapError::Corrupt("task port row"));
+            }
+            if matches!(t.blocked_on, Some((port, _)) if port as usize >= t.cfg.ports.len()) {
+                return Err(SnapError::Corrupt("blocked-on port"));
+            }
+        }
+        let mut sched = SchedState::default();
+        sched.load(r)?;
+        if matches!(sched.current, Some(t) if t.0 as usize >= tasks.len()) {
+            return Err(SnapError::Corrupt("scheduler current task"));
+        }
+        if sched.cursor > tasks.len() {
+            return Err(SnapError::Corrupt("scheduler cursor"));
+        }
         self.rows = rows;
         self.caches = caches;
         self.tasks = tasks;
-        self.sched.load(r)?;
+        self.sched = sched;
         let n_gen = r.usize()?;
         if n_gen != self.rows.len() {
             return Err(SnapError::Corrupt("generation count"));
@@ -966,21 +970,23 @@ mod tests {
         // Producer writes a packet.
         assert!(p.get_space(T0, 0, 64, 0));
         p.write(T0, 0, 0, &[42u8; 64], 1, &mut mem);
-        let out = p.put_space(T0, 0, 64, 2, &mut mem);
-        assert_eq!(out.msgs.len(), 1);
+        let mut msgs = Vec::new();
+        p.put_space(T0, 0, 64, 2, &mut mem, &mut msgs);
+        assert_eq!(msgs.len(), 1);
         // Consumer can't read yet.
         assert!(!c.get_space(T0, 0, 64, 3));
         // Deliver the putspace message.
-        let t = out.msgs[0].send_at + 4;
-        let unblocked = c.deliver_putspace(&out.msgs[0], t);
+        let t = msgs[0].send_at + 4;
+        let unblocked = c.deliver_putspace(&msgs[0], t);
         assert!(unblocked, "blocked consumer task must be unblocked");
         assert!(c.get_space(T0, 0, 64, t + 1));
         let mut buf = [0u8; 64];
         let t = c.read(T0, 0, 0, &mut buf, t + 2, &mut mem);
         assert_eq!(buf, [42u8; 64]);
-        let back = c.put_space(T0, 0, 64, t + 1, &mut mem);
+        msgs.clear();
+        c.put_space(T0, 0, 64, t + 1, &mut mem, &mut msgs);
         // Producer's room is restored by the consumer's putspace.
-        p.deliver_putspace(&back.msgs[0], t + 8);
+        p.deliver_putspace(&msgs[0], t + 8);
         assert_eq!(p.space(RowIdx(0)), 256);
     }
 
@@ -989,9 +995,11 @@ mod tests {
         let (mut p, _c, mut mem) = pair(256);
         p.get_space(T0, 0, 128, 0);
         p.write(T0, 0, 0, &[1u8; 128], 0, &mut mem);
-        let out = p.put_space(T0, 0, 128, 0, &mut mem);
+        let mut msgs = Vec::new();
+        let done = p.put_space(T0, 0, 128, 0, &mut mem, &mut msgs);
+        assert_eq!(msgs[0].send_at, done);
         assert!(
-            out.msgs[0].send_at > 0,
+            msgs[0].send_at > 0,
             "message must wait for the flush write-backs"
         );
         // And the data must actually be in memory by then.
@@ -1007,18 +1015,21 @@ mod tests {
         // buffer reuses the same addresses.
         let (mut p, mut c, mut mem) = pair(128);
         let mut now = 0u64;
+        let mut msgs = Vec::new();
         for round in 0u8..10 {
             assert!(p.get_space(T0, 0, 64, now), "round {round}");
             p.write(T0, 0, 0, &[round; 64], now, &mut mem);
-            let out = p.put_space(T0, 0, 64, now, &mut mem);
-            now = out.msgs[0].send_at + 4;
-            c.deliver_putspace(&out.msgs[0], now);
+            msgs.clear();
+            p.put_space(T0, 0, 64, now, &mut mem, &mut msgs);
+            now = msgs[0].send_at + 4;
+            c.deliver_putspace(&msgs[0], now);
             assert!(c.get_space(T0, 0, 64, now));
             let mut buf = [0u8; 64];
             now = c.read(T0, 0, 0, &mut buf, now, &mut mem);
             assert_eq!(buf, [round; 64], "round {round}: stale data");
-            let back = c.put_space(T0, 0, 64, now, &mut mem);
-            p.deliver_putspace(&back.msgs[0], now + 4);
+            msgs.clear();
+            c.put_space(T0, 0, 64, now, &mut mem, &mut msgs);
+            p.deliver_putspace(&msgs[0], now + 4);
             now += 10;
         }
     }
@@ -1030,20 +1041,23 @@ mod tests {
         c.disable_invalidate = true;
         let mut now = 0u64;
         let mut saw_stale = false;
+        let mut msgs = Vec::new();
         for round in 0u8..4 {
             p.get_space(T0, 0, 64, now);
             p.write(T0, 0, 0, &[round; 64], now, &mut mem);
-            let out = p.put_space(T0, 0, 64, now, &mut mem);
-            now = out.msgs[0].send_at + 4;
-            c.deliver_putspace(&out.msgs[0], now);
+            msgs.clear();
+            p.put_space(T0, 0, 64, now, &mut mem, &mut msgs);
+            now = msgs[0].send_at + 4;
+            c.deliver_putspace(&msgs[0], now);
             c.get_space(T0, 0, 64, now);
             let mut buf = [0u8; 64];
             now = c.read(T0, 0, 0, &mut buf, now, &mut mem);
             if buf != [round; 64] {
                 saw_stale = true;
             }
-            let back = c.put_space(T0, 0, 64, now, &mut mem);
-            p.deliver_putspace(&back.msgs[0], now + 4);
+            msgs.clear();
+            c.put_space(T0, 0, 64, now, &mut mem, &mut msgs);
+            p.deliver_putspace(&msgs[0], now + 4);
             now += 10;
         }
         assert!(
@@ -1106,8 +1120,9 @@ mod tests {
         let (mut p, mut c, mut mem) = pair(128);
         p.get_space(T0, 0, 64, 0);
         p.write(T0, 0, 0, &[1u8; 64], 0, &mut mem);
-        let out = p.put_space(T0, 0, 64, 0, &mut mem);
-        c.deliver_putspace(&out.msgs[0], 5);
+        let mut msgs = Vec::new();
+        p.put_space(T0, 0, 64, 0, &mut mem, &mut msgs);
+        c.deliver_putspace(&msgs[0], 5);
         c.get_space(T0, 0, 32, 6); // only 32 granted
         let mut buf = [0u8; 64];
         c.read(T0, 0, 0, &mut buf, 7, &mut mem); // reads 64: violation
@@ -1280,6 +1295,42 @@ mod tests {
         let space_before = c.space(row);
         c.deliver_putspace(&fresh, 7);
         assert_eq!(c.space(row), space_before + 64);
+    }
+
+    /// Mutated cross-references in a shell checkpoint — the selected
+    /// task, the round-robin cursor, a task's port rows and the port a
+    /// task is blocked on — come back as `SnapError::Corrupt`; before the
+    /// check they restored and then panicked in `select`, `get_task` or
+    /// `deliver_putspace`.
+    #[test]
+    fn mutated_cross_references_are_snap_errors() {
+        type Mutation = fn(&mut Shell);
+        let mutations: [(&str, Mutation); 4] = [
+            ("current", |s| s.sched.current = Some(TaskIdx(1))),
+            ("cursor", |s| s.sched.cursor = 2),
+            ("port row", |s| s.tasks[0].cfg.ports[0] = RowIdx(1)),
+            ("blocked port", |s| s.tasks[0].blocked_on = Some((1, 64))),
+        ];
+        for (what, mutate) in mutations {
+            let mut p = pair(256).0;
+            mutate(&mut p);
+            let mut w = SnapWriter::new();
+            p.save_state(&mut w);
+            let mut fresh = pair(256).0;
+            let res = fresh.load_state(&mut SnapReader::new(w.bytes()));
+            assert!(matches!(res, Err(SnapError::Corrupt(_))), "{what}: {res:?}");
+        }
+        // The boundary values load: a cursor equal to the task count is
+        // one `select` wraps to row 0.
+        let mut p = pair(256).0;
+        p.sched.current = Some(T0);
+        p.sched.cursor = 1;
+        p.tasks[0].blocked_on = Some((0, 64));
+        let mut w = SnapWriter::new();
+        p.save_state(&mut w);
+        let mut fresh = pair(256).0;
+        fresh.load_state(&mut SnapReader::new(w.bytes())).unwrap();
+        assert_eq!(fresh.sched().cursor, 1);
     }
 
     /// Mutated table lengths in a shell checkpoint come back as

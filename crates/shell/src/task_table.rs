@@ -225,7 +225,8 @@ pub struct SchedState {
     pub current: Option<TaskIdx>,
     /// Remaining budget of the current task.
     pub budget_left: u64,
-    /// Round-robin cursor: next row to consider.
+    /// Round-robin cursor: next row to consider. At most the table
+    /// length (a checkpoint restore rejects anything larger).
     pub cursor: usize,
     /// Total task switches performed.
     pub switches: u64,
@@ -276,14 +277,18 @@ pub fn select(
             };
         }
     }
-    // Round-robin scan for the next eligible task.
+    // Round-robin scan for the next eligible task: one lap of the table
+    // from the cursor, wrapping the index at the end (`cursor <= n`).
     let n = tasks.len();
-    for i in 0..n {
-        let idx = (sched.cursor + i) % n;
+    let mut idx = sched.cursor;
+    for _ in 0..n {
+        if idx >= n {
+            idx = 0;
+        }
         if eligible(&tasks[idx]) {
             let task = TaskIdx(idx as u8);
             let switched = sched.current != Some(task);
-            sched.cursor = (idx + 1) % n;
+            sched.cursor = if idx + 1 == n { 0 } else { idx + 1 };
             sched.budget_left = tasks[idx].cfg.budget;
             if switched {
                 sched.switches += 1;
@@ -295,6 +300,7 @@ pub fn select(
                 switched,
             };
         }
+        idx += 1;
     }
     sched.current = None;
     sched.budget_left = 0;

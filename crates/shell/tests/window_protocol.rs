@@ -103,8 +103,7 @@ proptest! {
                     if ok {
                         let data: Vec<u8> = (0..n as u64).map(|i| byte_at(produced_total + i)).collect();
                         now = producer.write(T0, 0, 0, &data, now, &mut mem).max(now);
-                        let out = producer.put_space(T0, 0, n, now, &mut mem);
-                        pending.extend(out.msgs);
+                        producer.put_space(T0, 0, n, now, &mut mem, &mut pending);
                         produced_total += n as u64;
                         producer_room -= n;
                         in_flight_to_consumer += n;
@@ -133,8 +132,7 @@ proptest! {
                         for (i, &b) in data.iter().enumerate() {
                             prop_assert_eq!(b, byte_at(consumed_total + i as u64), "byte {} of stream", consumed_total + i as u64);
                         }
-                        let out = consumer.put_space(T0, 0, n, now, &mut mem);
-                        pending.extend(out.msgs);
+                        consumer.put_space(T0, 0, n, now, &mut mem, &mut pending);
                         consumed_total += n as u64;
                         consumer_visible -= n;
                         in_flight_to_producer += n;
@@ -237,8 +235,7 @@ proptest! {
                     if producer.get_space(T0, 0, n, now) {
                         let data = vec![0xA5u8; n as usize];
                         now = producer.write(T0, 0, 0, &data, now, &mut mem).max(now);
-                        let out = producer.put_space(T0, 0, n, now, &mut mem);
-                        pending.extend(out.msgs);
+                        producer.put_space(T0, 0, n, now, &mut mem, &mut pending);
                     }
                 }
                 ReorderOp::Consume(n) => {
@@ -246,8 +243,7 @@ proptest! {
                     if consumer.get_space(T0, 0, n, now) {
                         let mut data = vec![0u8; n as usize];
                         now = consumer.read(T0, 0, 0, &mut data, now, &mut mem).max(now);
-                        let out = consumer.put_space(T0, 0, n, now, &mut mem);
-                        pending.extend(out.msgs);
+                        consumer.put_space(T0, 0, n, now, &mut mem, &mut pending);
                     }
                 }
                 ReorderOp::DeliverOne(sel) => {

@@ -174,12 +174,14 @@ impl SlotBitmap {
 ///
 /// Every wheel-resident event has a timestamp in `[now, now + WHEEL_SLOTS)`,
 /// so `time & WHEEL_MASK` addresses a unique slot and all events in one
-/// slot share one timestamp (their deque order is push order, which is seq
-/// order; within a slot the pop rule takes the smallest key, first-pushed
-/// on key ties). Far-heap events were scheduled at least `WHEEL_SLOTS`
-/// cycles ahead; when a far event ties a wheel event on `(time, key)`, the
-/// far event necessarily has the smaller sequence number (it was scheduled
-/// at a strictly earlier `now`), so ties break toward the heap.
+/// slot share one timestamp. Each slot's deque is kept in `(key, seq)`
+/// order: a new event (always the largest seq so far) is inserted after
+/// the last entry whose key is `<=` its own, so the slot front is always
+/// the slot's next event and popping is `pop_front`. Far-heap events were
+/// scheduled at least `WHEEL_SLOTS` cycles ahead; when a far event ties a
+/// wheel event on `(time, key)`, the far event necessarily has the smaller
+/// sequence number (it was scheduled at a strictly earlier `now`), so ties
+/// break toward the heap.
 pub struct Calendar<E> {
     slots: Vec<VecDeque<(u64, E)>>,
     occupied: SlotBitmap,
@@ -242,7 +244,15 @@ impl<E> Calendar<E> {
         self.seq += 1;
         if time - self.now < WHEEL_SLOTS as Cycle {
             let slot = (time & WHEEL_MASK) as usize;
-            self.slots[slot].push_back((key, event));
+            // Keep the slot in (key, seq) order. Scan from the back: the
+            // new event usually carries the largest key so far and is
+            // simply appended.
+            let dq = &mut self.slots[slot];
+            let mut at = dq.len();
+            while at > 0 && dq[at - 1].0 > key {
+                at -= 1;
+            }
+            dq.insert(at, (key, event));
             self.occupied.set(slot);
             self.wheel_len += 1;
         } else {
@@ -255,12 +265,11 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// `(time, key, deque index)` of the next wheel event, if any
-    /// (time = `now + cyclic slot distance`, valid because all wheel
-    /// timestamps lie within one window of `now`; the index addresses the
-    /// min-key, first-pushed entry within the slot).
+    /// `(time, key, slot)` of the next wheel event, if any (time = `now +
+    /// cyclic slot distance`, valid because all wheel timestamps lie
+    /// within one window of `now`; the event is the slot's front entry).
     #[inline]
-    fn wheel_peek(&self) -> Option<(Cycle, u64, usize, usize)> {
+    fn wheel_peek(&self) -> Option<(Cycle, u64, usize)> {
         if self.wheel_len == 0 {
             return None;
         }
@@ -270,23 +279,12 @@ impl<E> Calendar<E> {
             .find_cyclic(start)
             .expect("wheel_len > 0 implies an occupied slot");
         let dist = (slot as u64).wrapping_sub(self.now) & WHEEL_MASK;
-        let dq = &self.slots[slot];
-        // Pick the smallest key; `>` (not `>=`) keeps the first-pushed
-        // entry on key ties, preserving FIFO within equal keys.
-        let mut best = 0usize;
-        let mut best_key = dq[0].0;
-        for (i, (k, _)) in dq.iter().enumerate().skip(1) {
-            if best_key > *k {
-                best_key = *k;
-                best = i;
-            }
-        }
-        Some((self.now + dist, best_key, slot, best))
+        Some((self.now + dist, self.slots[slot][0].0, slot))
     }
 
     /// Timestamp of the next pending event, if any.
     pub fn peek_time(&self) -> Option<Cycle> {
-        let wheel = self.wheel_peek().map(|(t, _, _, _)| t);
+        let wheel = self.wheel_peek().map(|(t, _, _)| t);
         match (wheel, self.far.peek().map(|e| e.time)) {
             (Some(w), Some(f)) => Some(w.min(f)),
             (w, f) => w.or(f),
@@ -308,15 +306,15 @@ impl<E> Calendar<E> {
             (None, Some(_)) => true,
             // On a (time, key) tie the far event was scheduled strictly
             // earlier (smaller seq), so the heap wins.
-            (Some((wt, wk, _, _)), Some((ft, fk))) => (ft, fk) <= (wt, wk),
+            (Some((wt, wk, _)), Some((ft, fk))) => (ft, fk) <= (wt, wk),
         };
         if from_far {
             let entry = self.far.pop().expect("peeked entry present");
             self.now = entry.time;
             Some((entry.time, entry.key, entry.event))
         } else {
-            let (time, key, slot, i) = wheel.expect("wheel path requires a wheel event");
-            let (_, event) = self.slots[slot].remove(i).expect("occupied slot");
+            let (time, key, slot) = wheel.expect("wheel path requires a wheel event");
+            let (_, event) = self.slots[slot].pop_front().expect("occupied slot");
             if self.slots[slot].is_empty() {
                 self.occupied.clear(slot);
             }
@@ -353,40 +351,38 @@ impl<E> Calendar<E> {
     /// [`Calendar::pending_in_order`] with each event's ordering key.
     ///
     /// The pop order is reconstructed from the structure invariants:
-    /// every wheel slot holds events of a single timestamp in push
-    /// (= seq) order — a stable sort by key yields `(key, seq)` order —
-    /// far-heap entries carry explicit `(time, key, seq)` triples, and on
-    /// a `(time, key)` tie the far event was scheduled strictly earlier
-    /// than any wheel event, so far sorts first.
+    /// every wheel slot holds events of a single timestamp already in
+    /// `(key, seq)` order, far-heap entries carry explicit `(time, key,
+    /// seq)` triples, and on a `(time, key)` tie the far event was
+    /// scheduled strictly earlier than any wheel event, so far sorts
+    /// first.
     pub fn pending_in_order_keyed(&self) -> Vec<(Cycle, u64, E)>
     where
         E: Clone,
     {
         let mut far: Vec<&Entry<E>> = self.far.iter().collect();
         far.sort_by_key(|e| (e.time, e.key, e.seq));
-        let mut wheel: Vec<(Cycle, Vec<(u64, E)>)> = self
+        let mut wheel: Vec<(Cycle, &VecDeque<(u64, E)>)> = self
             .slots
             .iter()
             .enumerate()
             .filter(|(_, dq)| !dq.is_empty())
             .map(|(slot, dq)| {
                 let dist = (slot as u64).wrapping_sub(self.now) & WHEEL_MASK;
-                let mut entries: Vec<(u64, E)> = dq.iter().map(|(k, e)| (*k, e.clone())).collect();
-                entries.sort_by_key(|&(k, _)| k); // stable: FIFO within key
-                (self.now + dist, entries)
+                (self.now + dist, dq)
             })
             .collect();
         wheel.sort_by_key(|&(t, _)| t);
 
         let mut out = Vec::with_capacity(self.len());
         let mut fi = 0;
-        for (t, entries) in wheel {
-            for (k, e) in entries {
-                while fi < far.len() && (far[fi].time, far[fi].key) <= (t, k) {
+        for (t, dq) in wheel {
+            for (k, e) in dq {
+                while fi < far.len() && (far[fi].time, far[fi].key) <= (t, *k) {
                     out.push((far[fi].time, far[fi].key, far[fi].event.clone()));
                     fi += 1;
                 }
-                out.push((t, k, e));
+                out.push((t, *k, e.clone()));
             }
         }
         for f in &far[fi..] {
@@ -399,9 +395,10 @@ impl<E> Calendar<E> {
     /// as `(time, key, event)` in pop order (the
     /// [`Calendar::pending_in_order_keyed`] counterpart used by
     /// checkpoint restore). Re-scheduling in pop order reproduces the
-    /// original delivery sequence: same-`(time, key)` events land in one
-    /// slot in FIFO order, and a formerly-far event that now fits the
-    /// wheel window still sorts by its `(time, key)`.
+    /// original delivery sequence: every wheel insert appends to its slot
+    /// (pop order is `(key, seq)` order within a timestamp), and a
+    /// formerly-far event that now fits the wheel window still sorts by
+    /// its `(time, key)`.
     pub fn restore(&mut self, now: Cycle, events: impl IntoIterator<Item = (Cycle, u64, E)>) {
         self.clear();
         self.now = now;
@@ -489,9 +486,14 @@ impl<E> BaselineCalendar<E> {
 
     /// Pop the earliest event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
+        self.pop_keyed().map(|(t, _, e)| (t, e))
+    }
+
+    /// [`BaselineCalendar::pop`], also returning the event's ordering key.
+    pub fn pop_keyed(&mut self) -> Option<(Cycle, u64, E)> {
         let entry = self.heap.pop()?;
         self.now = entry.time;
-        Some((entry.time, entry.event))
+        Some((entry.time, entry.key, entry.event))
     }
 
     /// Discard all pending events, keeping `now`.
