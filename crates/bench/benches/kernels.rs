@@ -13,7 +13,7 @@ use eclipse_media::bits::{BitReader, BitWriter};
 use eclipse_media::dct::{fdct2d, idct2d};
 use eclipse_media::motion::{mb_luma, three_step_search_pred, MotionVector, SearchWindow};
 use eclipse_media::quant::{dequant_intra, quant_intra};
-use eclipse_media::scan::{rle_decode, rle_encode};
+use eclipse_media::scan::{rle_decode, rle_encode, RunLevel};
 use eclipse_media::source::{SourceConfig, SyntheticSource};
 use eclipse_media::vlc::{get_block, put_block};
 
@@ -39,26 +39,30 @@ fn bench_quant_rle() {
     bench("rlsq/dequant_intra", || {
         dequant_intra(black_box(&levels), 6)
     });
-    bench("rlsq/rle_encode", || rle_encode(black_box(&levels)));
-    let symbols = rle_encode(&levels);
+    let mut symbols = [RunLevel::default(); 64];
+    bench("rlsq/rle_encode", || {
+        rle_encode(black_box(&levels), &mut symbols)
+    });
+    let n = rle_encode(&levels, &mut symbols);
     bench("rlsq/rle_decode", || {
-        rle_decode(black_box(&symbols)).unwrap()
+        rle_decode(black_box(&symbols[..n])).unwrap()
     });
 }
 
 fn bench_vlc() {
-    let symbols = rle_encode(&quant_intra(&fdct2d(&test_block()), 6));
+    let mut symbols = [RunLevel::default(); 64];
+    let n = rle_encode(&quant_intra(&fdct2d(&test_block()), 6), &mut symbols);
     bench("vlc/encode_block", || {
         let mut w = BitWriter::new();
-        put_block(&mut w, black_box(&symbols));
+        put_block(&mut w, black_box(&symbols[..n]));
         w.finish()
     });
     let mut w = BitWriter::new();
-    put_block(&mut w, &symbols);
+    put_block(&mut w, &symbols[..n]);
     let bytes = w.finish();
     bench("vlc/decode_block", || {
         let mut r = BitReader::new(black_box(&bytes));
-        get_block(&mut r).unwrap()
+        get_block(&mut r, &mut symbols).unwrap()
     });
 }
 

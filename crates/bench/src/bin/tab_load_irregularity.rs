@@ -12,6 +12,7 @@
 
 use eclipse_bench::{save_result, table, StreamSpec};
 use eclipse_media::bits::BitReader;
+use eclipse_media::scan::RunLevel;
 use eclipse_media::stream::{
     peek_marker, read_mb_header, read_picture_header, read_sequence_header, MARKER_END,
 };
@@ -25,6 +26,7 @@ fn per_mb_stats(bitstream: &[u8]) -> (RunningStat, RunningStat) {
     let mbs = (seq.width as u32 / 16) * (seq.height as u32 / 16);
     let mut bits = RunningStat::new();
     let mut coefs = RunningStat::new();
+    let mut symbols = [RunLevel::default(); 64];
     loop {
         if peek_marker(&mut r).unwrap() == MARKER_END {
             break;
@@ -43,8 +45,8 @@ fn per_mb_stats(bitstream: &[u8]) -> (RunningStat, RunningStat) {
                     let _ = get_sev(&mut r).unwrap();
                     mb_coefs += 1;
                 }
-                let (symbols, _) = get_block(&mut r).unwrap();
-                mb_coefs += symbols.len() as u64;
+                let (n, _) = get_block(&mut r, &mut symbols).unwrap();
+                mb_coefs += n as u64;
             }
             bits.record((r.bit_pos() - start) as f64);
             coefs.record(mb_coefs as f64);

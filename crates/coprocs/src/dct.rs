@@ -74,6 +74,8 @@ pub struct DctCoproc {
     /// Ordered map: checkpoint serialization iterates it, and two builds
     /// of the same system must produce identical bytes.
     tasks: BTreeMap<TaskIdx, DctTask>,
+    /// Output staging buffer every step reuses (scratch, not state).
+    stage: Vec<u8>,
 }
 
 impl DctCoproc {
@@ -82,6 +84,7 @@ impl DctCoproc {
         DctCoproc {
             cost,
             tasks: BTreeMap::new(),
+            stage: Vec::new(),
         }
     }
 
@@ -167,7 +170,7 @@ impl Coprocessor for DctCoproc {
         const OUT: PortId = 1;
         let t = self.tasks.get_mut(&task).expect("unconfigured DCT task");
         let mut r = StepReader::new(IN);
-        let mut w = StepWriter::new(OUT);
+        let mut w = StepWriter::new(OUT, &mut self.stage);
 
         let tag = match r.peek_tag(ctx) {
             None => return StepResult::Blocked,

@@ -450,6 +450,8 @@ pub struct DspCoproc {
     display_totals: BTreeMap<String, u16>,
     tasks: BTreeMap<TaskIdx, SwTask>,
     names: BTreeMap<String, TaskIdx>,
+    /// Output staging buffer every step reuses (scratch, not state).
+    stage: Vec<u8>,
 }
 
 impl DspCoproc {
@@ -464,6 +466,7 @@ impl DspCoproc {
             display_totals: BTreeMap::new(),
             tasks: BTreeMap::new(),
             names: BTreeMap::new(),
+            stage: Vec::new(),
         }
     }
 
@@ -843,14 +846,15 @@ impl Coprocessor for DspCoproc {
 
     fn step(&mut self, task: TaskIdx, _info: u32, ctx: &mut StepCtx<'_>) -> StepResult {
         let cost = self.cost;
+        let stage = &mut self.stage;
         match self.tasks.get_mut(&task).expect("unconfigured DSP task") {
             SwTask::Display(t) => step_display(t, &cost, ctx),
-            SwTask::Source(t) => step_source(t, &cost, ctx),
-            SwTask::Vle(t) => step_vle(t, &cost, ctx),
+            SwTask::Source(t) => step_source(t, &cost, stage, ctx),
+            SwTask::Vle(t) => step_vle(t, &cost, stage, ctx),
             SwTask::Sink(t) => step_sink(t, &cost, ctx),
-            SwTask::Audio(t) => step_audio(t, &cost, ctx),
+            SwTask::Audio(t) => step_audio(t, &cost, stage, ctx),
             SwTask::PcmSink(t) => step_pcm_sink(t, &cost, ctx),
-            SwTask::Demux(t) => step_demux(t, &cost, ctx),
+            SwTask::Demux(t) => step_demux(t, &cost, stage, ctx),
             SwTask::Monitor(t) => step_monitor(t, &cost, ctx),
         }
     }
@@ -901,7 +905,7 @@ fn step_monitor(t: &mut MonitorTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> S
             if !r.need(ctx, 1 + records::PIX_REC_BYTES) {
                 return StepResult::Blocked;
             }
-            let mut buf = vec![0u8; 1 + records::PIX_REC_BYTES as usize];
+            let mut buf = [0u8; 1 + records::PIX_REC_BYTES as usize];
             r.read(ctx, &mut buf);
             r.commit(ctx);
             t.checksum = fnv(t.checksum, &buf);
@@ -927,23 +931,26 @@ fn step_monitor(t: &mut MonitorTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> S
 /// the output port its pid routes to. Unknown pids are dropped, like a
 /// real demux. At stream end, every output gets the zero-length
 /// terminator.
-fn step_demux(t: &mut DemuxTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResult {
+fn step_demux(
+    t: &mut DemuxTask,
+    cost: &DspCost,
+    stage: &mut Vec<u8>,
+    ctx: &mut StepCtx<'_>,
+) -> StepResult {
     use eclipse_media::transport::{parse_packet, PACKET_BYTES};
     if t.pos + PACKET_BYTES as u32 > t.cfg.ts_len {
-        // Terminators on all outputs (staged together: all or nothing).
-        let mut writers: Vec<StepWriter> = (0..t.cfg.pids.len())
-            .map(|p| StepWriter::new(p as PortId))
-            .collect();
-        for w in writers.iter_mut() {
-            w.stage(&0u16.to_le_bytes());
-        }
-        for w in &writers {
-            if !w.reserve(ctx) {
+        // Zero-length terminators on all outputs, all or nothing: every
+        // window first, then every write and commit.
+        let terminator = 0u16.to_le_bytes();
+        let ports = 0..t.cfg.pids.len() as PortId;
+        for port in ports.clone() {
+            if !ctx.get_space(port, terminator.len() as u32) {
                 return StepResult::Blocked;
             }
         }
-        for w in writers {
-            w.commit(ctx);
+        for port in ports {
+            ctx.write(port, 0, &terminator);
+            ctx.put_space(port, terminator.len() as u32);
         }
         return StepResult::Finished;
     }
@@ -959,7 +966,7 @@ fn step_demux(t: &mut DemuxTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepR
         return StepResult::Done;
     };
     if let Some(port) = t.cfg.pids.iter().position(|&p| p == pid) {
-        let mut w = StepWriter::new(port as PortId);
+        let mut w = StepWriter::new(port as PortId, stage);
         w.stage(&(payload.len() as u16).to_le_bytes());
         w.stage(payload);
         if !w.reserve(ctx) {
@@ -975,7 +982,12 @@ fn step_demux(t: &mut DemuxTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepR
 /// One ADPCM block per processing step: obtain the coded block (from
 /// off-chip memory or from the demux port), decode it in software, and
 /// stream the PCM out.
-fn step_audio(t: &mut AudioTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResult {
+fn step_audio(
+    t: &mut AudioTask,
+    cost: &DspCost,
+    stage: &mut Vec<u8>,
+    ctx: &mut StepCtx<'_>,
+) -> StepResult {
     use eclipse_media::audio::{decode_block, BLOCK_BYTES, BLOCK_SAMPLES};
     const IN: PortId = 0;
     let out = t.out_port;
@@ -1010,11 +1022,11 @@ fn step_audio(t: &mut AudioTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepR
                 if !ctx.get_space(IN, 2 + len) {
                     return StepResult::Blocked;
                 }
-                let mut payload = vec![0u8; len as usize];
-                ctx.read(IN, 2, &mut payload);
+                let have = t.pending.len();
+                t.pending.resize(have + len as usize, 0);
+                ctx.read(IN, 2, &mut t.pending[have..]);
                 ctx.put_space(IN, 2 + len);
                 ctx.compute(4 + len as u64 / 8);
-                t.pending.extend_from_slice(&payload);
             }
             if t.pending.len() >= BLOCK_BYTES {
                 coded.copy_from_slice(&t.pending[..BLOCK_BYTES]);
@@ -1025,7 +1037,7 @@ fn step_audio(t: &mut AudioTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepR
         }
     };
     if !got {
-        let mut w = StepWriter::new(out);
+        let mut w = StepWriter::new(out, stage);
         w.stage(&[TAG_EOS]);
         if !w.reserve(ctx) {
             return StepResult::Blocked;
@@ -1035,7 +1047,7 @@ fn step_audio(t: &mut AudioTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepR
     }
 
     let pcm = decode_block(&coded);
-    let mut w = StepWriter::new(out);
+    let mut w = StepWriter::new(out, stage);
     w.stage(&[TAG_MB]);
     for s in pcm {
         w.stage(&s.to_le_bytes());
@@ -1081,7 +1093,7 @@ fn step_pcm_sink(t: &mut PcmSinkTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> 
             }
             let mut b = [0u8; 1];
             r.read(ctx, &mut b);
-            let mut payload = vec![0u8; 2 * BLOCK_SAMPLES];
+            let mut payload = [0u8; 2 * BLOCK_SAMPLES];
             r.read(ctx, &mut payload);
             r.commit(ctx);
             for chunk in payload.chunks_exact(2) {
@@ -1187,7 +1199,7 @@ fn step_display(t: &mut DisplayTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> S
             }
             let mut tagb = [0u8; 1];
             r.read(ctx, &mut tagb);
-            let mut pix = vec![0u8; records::PIX_REC_BYTES as usize];
+            let mut pix = [0u8; records::PIX_REC_BYTES as usize];
             r.read(ctx, &mut pix);
             r.commit(ctx);
             ctx.compute(cost.per_record + records::PIX_REC_BYTES as u64 * cost.per_byte);
@@ -1221,10 +1233,15 @@ fn step_display(t: &mut DisplayTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> S
     }
 }
 
-fn step_source(t: &mut SourceTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResult {
+fn step_source(
+    t: &mut SourceTask,
+    cost: &DspCost,
+    stage: &mut Vec<u8>,
+    ctx: &mut StepCtx<'_>,
+) -> StepResult {
     const OUT: PortId = 0;
     if t.pic_idx >= t.coded.len() {
-        let mut w = StepWriter::new(OUT);
+        let mut w = StepWriter::new(OUT, stage);
         w.stage(&[TAG_EOS]);
         if !w.reserve(ctx) {
             return StepResult::Blocked;
@@ -1242,7 +1259,7 @@ fn step_source(t: &mut SourceTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> Ste
             mb_cols: (frame.width / 16) as u16,
             mb_rows: (frame.height / 16) as u16,
         };
-        let mut w = StepWriter::new(OUT);
+        let mut w = StepWriter::new(OUT, stage);
         w.stage(&pic.to_bytes());
         if !w.reserve(ctx) {
             return StepResult::Blocked;
@@ -1256,7 +1273,7 @@ fn step_source(t: &mut SourceTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> Ste
     let mb_cols = frame.mb_cols() as u32;
     let (mbx, mby) = (t.mb_idx % mb_cols, t.mb_idx / mb_cols);
     let blocks = frame.get_macroblock(mbx as usize, mby as usize);
-    let mut w = StepWriter::new(OUT);
+    let mut w = StepWriter::new(OUT, stage);
     w.stage(&[TAG_MB]);
     w.stage(&pix_to_bytes(&blocks));
     if !w.reserve(ctx) {
@@ -1272,14 +1289,19 @@ fn step_source(t: &mut SourceTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> Ste
     StepResult::Done
 }
 
-fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResult {
+fn step_vle(
+    t: &mut VleTask,
+    cost: &DspCost,
+    stage: &mut Vec<u8>,
+    ctx: &mut StepCtx<'_>,
+) -> StepResult {
     const IN: PortId = 0;
     const OUT: PortId = 1;
 
     // Flush pending output first.
     if t.pending.len() >= BITS_CHUNK || (t.eos_seen && !t.pending.is_empty()) {
         let n = t.pending.len().min(BITS_CHUNK);
-        let mut w = StepWriter::new(OUT);
+        let mut w = StepWriter::new(OUT, stage);
         w.stage(&(n as u16).to_le_bytes());
         w.stage(&t.pending[..n]);
         if !w.reserve(ctx) {
@@ -1292,7 +1314,7 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
     }
     if t.eos_seen {
         // Terminating zero-length chunk.
-        let mut w = StepWriter::new(OUT);
+        let mut w = StepWriter::new(OUT, stage);
         w.stage(&0u16.to_le_bytes());
         if !w.reserve(ctx) {
             return StepResult::Blocked;
@@ -1314,8 +1336,7 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
             r.commit(ctx);
             write_end(&mut t.writer);
             t.writer.byte_align();
-            let bytes = t.writer.drain_complete_bytes();
-            t.pending.extend_from_slice(&bytes);
+            t.writer.drain_complete_into(&mut t.pending);
             t.eos_seen = true;
             ctx.compute(cost.per_record);
             StepResult::Done
@@ -1340,8 +1361,7 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
                     qscale: pic.qscale,
                 },
             );
-            let bytes = t.writer.drain_complete_bytes();
-            t.pending.extend_from_slice(&bytes);
+            t.writer.drain_complete_into(&mut t.pending);
             ctx.compute(cost.per_record * 2);
             let _ = t.cfg; // sequence header already emitted at configure
             StepResult::Done
@@ -1364,21 +1384,21 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
             // cannot carry it.
             let mut damaged = mode.is_none() || cbp >= 1 << 6;
             // Parse per-block symbol payloads.
-            let mut payloads: Vec<(Option<i16>, Vec<RunLevel>)> = Vec::new();
+            let mut dc_diffs = [None; 6];
+            let mut symbols = [[RunLevel::default(); 64]; 6];
+            let mut nsyms = [0usize; 6];
             let mut nsym_total = 0u64;
             for blk in 0..6 {
                 if cbp & (1 << (5 - blk)) == 0 {
                     continue;
                 }
-                let dc_diff = if intra {
+                if intra {
                     let b = match r.take::<2>(ctx) {
                         None => return StepResult::Blocked,
                         Some(b) => b,
                     };
-                    Some(i16::from_le_bytes(b))
-                } else {
-                    None
-                };
+                    dc_diffs[blk] = Some(i16::from_le_bytes(b));
+                }
                 let nsym = match r.take::<2>(ctx) {
                     None => return StepResult::Blocked,
                     Some(b) => u16::from_le_bytes(b) as u32,
@@ -1390,22 +1410,14 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
                     damaged = true;
                     break;
                 }
-                if !r.need(ctx, nsym * 3) {
+                if !records::read_symbols(&mut r, ctx, nsym, &mut symbols[blk]) {
                     return StepResult::Blocked;
                 }
-                let mut symbols = Vec::with_capacity(nsym as usize);
-                for _ in 0..nsym {
-                    let mut sb = [0u8; 3];
-                    r.read(ctx, &mut sb);
-                    let rl = RunLevel {
-                        run: sb[0],
-                        level: i16::from_le_bytes([sb[1], sb[2]]),
-                    };
-                    damaged |= rl.run >= 64 || rl.level == 0;
-                    symbols.push(rl);
-                }
+                nsyms[blk] = nsym as usize;
+                damaged |= symbols[blk][..nsyms[blk]]
+                    .iter()
+                    .any(|s| s.run >= 64 || s.level == 0);
                 nsym_total += nsym as u64;
-                payloads.push((dc_diff, symbols));
             }
             r.commit(ctx);
             let Some(mode) = mode.filter(|_| !damaged) else {
@@ -1415,14 +1427,13 @@ fn step_vle(t: &mut VleTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepResul
             };
             // Serialize into the bit syntax.
             write_mb_header(&mut t.writer, &MbHeader { mode, cbp });
-            for (dc_diff, symbols) in &payloads {
-                if let Some(diff) = dc_diff {
-                    put_sev(&mut t.writer, *diff as i32);
+            for blk in (0..6).filter(|blk| cbp & (1 << (5 - blk)) != 0) {
+                if let Some(diff) = dc_diffs[blk] {
+                    put_sev(&mut t.writer, diff as i32);
                 }
-                put_block(&mut t.writer, symbols);
+                put_block(&mut t.writer, &symbols[blk][..nsyms[blk]]);
             }
-            let bytes = t.writer.drain_complete_bytes();
-            t.pending.extend_from_slice(&bytes);
+            t.writer.drain_complete_into(&mut t.pending);
             ctx.compute(cost.per_record + nsym_total * 8);
             StepResult::Done
         }
@@ -1456,10 +1467,10 @@ fn step_sink(t: &mut SinkTask, cost: &DspCost, ctx: &mut StepCtx<'_>) -> StepRes
     if !r.need(ctx, len) {
         return StepResult::Blocked;
     }
-    let mut buf = vec![0u8; len as usize];
-    r.read(ctx, &mut buf);
+    let have = t.bytes.len();
+    t.bytes.resize(have + len as usize, 0);
+    r.read(ctx, &mut t.bytes[have..]);
     r.commit(ctx);
     ctx.compute(cost.per_record + len as u64 * cost.per_byte);
-    t.bytes.extend_from_slice(&buf);
     StepResult::Done
 }

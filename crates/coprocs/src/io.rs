@@ -68,6 +68,19 @@ impl StepReader {
         self.pos += buf.len() as u32;
     }
 
+    /// Read `buf.len() / rec` consecutive `rec`-byte records at the read
+    /// head and advance past them, in one shell call charged exactly as
+    /// one [`StepReader::read`] per record. The window must already cover
+    /// them.
+    pub fn read_run(&mut self, ctx: &mut StepCtx<'_>, rec: usize, buf: &mut [u8]) {
+        debug_assert!(
+            self.pos + buf.len() as u32 <= self.window,
+            "read beyond requested window"
+        );
+        ctx.read_run(self.port, self.pos, rec, buf);
+        self.pos += buf.len() as u32;
+    }
+
     /// Convenience: `need` + `read` of a fixed-size array.
     pub fn take<const N: usize>(&mut self, ctx: &mut StepCtx<'_>) -> Option<[u8; N]> {
         if !self.need(ctx, N as u32) {
@@ -96,19 +109,20 @@ impl StepReader {
     }
 }
 
-/// Staged writer for one output port within one processing step.
-pub struct StepWriter {
+/// Staged writer for one output port within one processing step. It
+/// stages into a buffer the coprocessor owns and hands to every step,
+/// so once that buffer has grown to the largest output a step allocates
+/// nothing.
+pub struct StepWriter<'b> {
     port: PortId,
-    staged: Vec<u8>,
+    staged: &'b mut Vec<u8>,
 }
 
-impl StepWriter {
-    /// A writer for `port`.
-    pub fn new(port: PortId) -> Self {
-        StepWriter {
-            port,
-            staged: Vec::new(),
-        }
+impl<'b> StepWriter<'b> {
+    /// A writer for `port` staging into `staged` (emptied first).
+    pub fn new(port: PortId, staged: &'b mut Vec<u8>) -> Self {
+        staged.clear();
+        StepWriter { port, staged }
     }
 
     /// Stage bytes for output (no shell interaction yet).
@@ -136,7 +150,7 @@ impl StepWriter {
         if self.staged.is_empty() {
             return;
         }
-        ctx.write(self.port, 0, &self.staged);
+        ctx.write(self.port, 0, self.staged);
         ctx.put_space(self.port, self.staged.len() as u32);
     }
 }
@@ -155,6 +169,7 @@ mod tests {
     struct VarProducer {
         records: Vec<Vec<u8>>,
         next: usize,
+        stage: Vec<u8>,
     }
     impl Coprocessor for VarProducer {
         fn name(&self) -> &str {
@@ -179,7 +194,7 @@ mod tests {
         fn step(&mut self, _t: TaskIdx, _i: u32, ctx: &mut StepCtx<'_>) -> StepResult {
             if self.next >= self.records.len() {
                 // End marker: length 0.
-                let mut w = StepWriter::new(0);
+                let mut w = StepWriter::new(0, &mut self.stage);
                 w.stage(&[0u8]);
                 if !w.reserve(ctx) {
                     return StepResult::Blocked;
@@ -188,7 +203,7 @@ mod tests {
                 return StepResult::Finished;
             }
             let rec = &self.records[self.next];
-            let mut w = StepWriter::new(0);
+            let mut w = StepWriter::new(0, &mut self.stage);
             w.stage(&[rec.len() as u8]);
             w.stage(rec);
             if !w.reserve(ctx) {
@@ -260,6 +275,7 @@ mod tests {
         b.add_coprocessor(Box::new(VarProducer {
             records: records.clone(),
             next: 0,
+            stage: Vec::new(),
         }));
         let ci = b.add_coprocessor(Box::new(VarConsumer { received: vec![] }));
         b.map_app(&graph).unwrap();

@@ -273,6 +273,11 @@ pub struct McMeCoproc {
     /// builds of the same system must produce identical bytes.
     cfgs: BTreeMap<String, McTaskConfig>,
     tasks: BTreeMap<TaskIdx, TaskKind>,
+    /// Output staging buffers every step reuses (scratch, not state).
+    stage: [Vec<u8>; 2],
+    /// The ME's forward and backward search windows, recentred on every
+    /// macroblock (scratch, not state).
+    windows: [SearchWindow; 2],
 }
 
 impl McMeCoproc {
@@ -282,6 +287,8 @@ impl McMeCoproc {
             cost,
             cfgs,
             tasks: BTreeMap::new(),
+            stage: Default::default(),
+            windows: Default::default(),
         }
     }
 
@@ -411,7 +418,12 @@ fn predict(
     }
 }
 
-fn step_mc(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
+fn step_mc(
+    t: &mut McTask,
+    cost: &McCost,
+    stage: &mut Vec<u8>,
+    ctx: &mut StepCtx<'_>,
+) -> StepResult {
     use mc_port::*;
     let mut r_mv = StepReader::new(IN_MV);
     let tag = match r_mv.peek_tag(ctx) {
@@ -441,7 +453,7 @@ fn step_mc(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             r_mv.read(ctx, &mut b);
             let mut b = [0u8; 1];
             r_res.read(ctx, &mut b);
-            let mut w = StepWriter::new(OUT_PIX);
+            let mut w = StepWriter::new(OUT_PIX, stage);
             w.stage(&[TAG_EOS]);
             if !w.reserve(ctx) {
                 return StepResult::Blocked;
@@ -471,7 +483,7 @@ fn step_mc(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
                 t.errors_recovered += 1;
                 return StepResult::Done;
             };
-            let mut w = StepWriter::new(OUT_PIX);
+            let mut w = StepWriter::new(OUT_PIX, stage);
             w.stage(&body);
             if !w.reserve(ctx) {
                 return StepResult::Blocked;
@@ -569,7 +581,7 @@ fn step_mc(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             }
             // Reserve the output before the irreversible frame-store
             // writes (abort discipline).
-            let mut w = StepWriter::new(OUT_PIX);
+            let mut w = StepWriter::new(OUT_PIX, stage);
             w.stage(&[TAG_MB]);
             w.stage(&records::pix_to_bytes(&recon));
             if !w.reserve(ctx) {
@@ -640,8 +652,8 @@ struct MeTask {
 }
 
 /// Fetch the tile-aligned luma area covering the search of macroblock
-/// (mbx, mby) from `slot` (the ME's window cache) into the padded
-/// [`SearchWindow`] the shared kernel searches. Returns the window and
+/// (mbx, mby) from `slot` (the ME's window cache) into `win`, recentred
+/// as the padded [`SearchWindow`] the shared kernel searches. Returns
 /// the bytes fetched.
 fn fetch_window(
     ctx: &mut StepCtx<'_>,
@@ -650,7 +662,8 @@ fn fetch_window(
     mbx: u32,
     mby: u32,
     range: u8,
-) -> (SearchWindow, u64) {
+    win: &mut SearchWindow,
+) -> u64 {
     let fs = &t.fs;
     let base = t.cfg.arena_base + slot * fs.slot_bytes();
     let (w, h) = (t.cfg.width as i32, t.cfg.height as i32);
@@ -662,18 +675,25 @@ fn fetch_window(
     let y_lo = ((mby as i32 * 16 - r - 2).max(0) / 8) * 8;
     let x_hi = ((mbx as i32 * 16 + 16 + r + 2).min(w) + 7) / 8 * 8;
     let y_hi = ((mby as i32 * 16 + 16 + r + 2).min(h) + 7) / 8 * 8;
-    let mut win = SearchWindow::new(w as usize, h as usize, mbx as usize, mby as usize, range);
+    win.recenter(w as usize, h as usize, mbx as usize, mby as usize, range);
     for ty in (y_lo..y_hi).step_by(8) {
         for tx in (x_lo..x_hi).step_by(8) {
             win.put_tile(tx, ty, &fs.fetch_block(ctx, base, PlaneSel::Y, tx, ty));
         }
     }
     win.pad();
-    (win, ((x_hi - x_lo) * (y_hi - y_lo)) as u64)
+    ((x_hi - x_lo) * (y_hi - y_lo)) as u64
 }
 
-fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
+fn step_me(
+    t: &mut MeTask,
+    cost: &McCost,
+    stage: &mut [Vec<u8>; 2],
+    windows: &mut [SearchWindow; 2],
+    ctx: &mut StepCtx<'_>,
+) -> StepResult {
     use me_port::*;
+    let [dec_buf, res_buf] = stage;
     let mut r_src = StepReader::new(IN_SRC);
     let tag = match r_src.peek_tag(ctx) {
         None => return StepResult::Blocked,
@@ -683,8 +703,8 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
         TAG_EOS => {
             let mut b = [0u8; 1];
             r_src.read(ctx, &mut b);
-            let mut w_dec = StepWriter::new(OUT_MBDEC);
-            let mut w_res = StepWriter::new(OUT_RESID);
+            let mut w_dec = StepWriter::new(OUT_MBDEC, dec_buf);
+            let mut w_res = StepWriter::new(OUT_RESID, res_buf);
             w_dec.stage(&[TAG_EOS]);
             w_res.stage(&[TAG_EOS]);
             if !w_dec.reserve(ctx) || !w_res.reserve(ctx) {
@@ -724,8 +744,8 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
                     t.anchors_confirmed += needed;
                 }
             }
-            let mut w_dec = StepWriter::new(OUT_MBDEC);
-            let w_res = StepWriter::new(OUT_RESID);
+            let mut w_dec = StepWriter::new(OUT_MBDEC, dec_buf);
+            let w_res = StepWriter::new(OUT_RESID, res_buf);
             w_dec.stage(&body);
             if !w_dec.reserve(ctx) || !w_res.reserve(ctx) {
                 return StepResult::Blocked;
@@ -745,7 +765,7 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
             }
             let mut tagb = [0u8; 1];
             r_src.read(ctx, &mut tagb);
-            let mut pix = vec![0u8; records::PIX_REC_BYTES as usize];
+            let mut pix = [0u8; records::PIX_REC_BYTES as usize];
             r_src.read(ctx, &mut pix);
             let Some(pic) = t.inner.pic else {
                 // MB with no live picture (its PIC record was dropped):
@@ -776,8 +796,8 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
                 match (pic.ptype, slots.prev_anchor, slots.last_anchor) {
                     (PictureType::I, _, _) => (Pm::Intra, [[0i16; 64]; 6]),
                     (PictureType::P, _, Some(slot)) => {
-                        let (win, bytes) = fetch_window(ctx, &t.inner, slot, mbx, mby, range);
-                        fetch_bytes += bytes;
+                        let win = &mut windows[0];
+                        fetch_bytes += fetch_window(ctx, &t.inner, slot, mbx, mby, range, win);
                         let cands = [MotionVector::default(), mv_pred.0];
                         let (mv, sad, e) = win.search(&luma, &cands);
                         mv_pred.0 = mv;
@@ -801,9 +821,9 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
                         }
                     }
                     (PictureType::B, Some(fslot), Some(bslot)) => {
-                        let (fwin, fbytes) = fetch_window(ctx, &t.inner, fslot, mbx, mby, range);
-                        let (bwin, bbytes) = fetch_window(ctx, &t.inner, bslot, mbx, mby, range);
-                        fetch_bytes += fbytes + bbytes;
+                        let [fwin, bwin] = windows;
+                        fetch_bytes += fetch_window(ctx, &t.inner, fslot, mbx, mby, range, fwin);
+                        fetch_bytes += fetch_window(ctx, &t.inner, bslot, mbx, mby, range, bwin);
                         let fcands = [MotionVector::default(), mv_pred.0];
                         let bcands = [MotionVector::default(), mv_pred.1];
                         let (fmv, fsad, fe) = fwin.search(&luma, &fcands);
@@ -842,8 +862,8 @@ fn step_me(t: &mut MeTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
 
             // Emit the decision and the six residual blocks.
             let (mode_code, fwd, bwd) = records::encode_mode(Some(mode));
-            let mut w_dec = StepWriter::new(OUT_MBDEC);
-            let mut w_res = StepWriter::new(OUT_RESID);
+            let mut w_dec = StepWriter::new(OUT_MBDEC, dec_buf);
+            let mut w_res = StepWriter::new(OUT_RESID, res_buf);
             w_dec.stage(&mbmv_to_bytes(mode_code, 0b111111, fwd, bwd));
             for blk in 0..6 {
                 let mut residual = [0i16; 64];
@@ -899,7 +919,12 @@ mod recon_port {
     pub const OUT_FEEDBACK: PortId = 1;
 }
 
-fn step_recon(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResult {
+fn step_recon(
+    t: &mut McTask,
+    cost: &McCost,
+    stage: &mut Vec<u8>,
+    ctx: &mut StepCtx<'_>,
+) -> StepResult {
     use recon_port::*;
     let mut r = StepReader::new(IN_RESID);
     let tag = match r.peek_tag(ctx) {
@@ -997,7 +1022,7 @@ fn step_recon(t: &mut McTask, cost: &McCost, ctx: &mut StepCtx<'_>) -> StepResul
                     }
                 }
                 // Reserve feedback room before irreversible writes.
-                let mut w = StepWriter::new(OUT_FEEDBACK);
+                let mut w = StepWriter::new(OUT_FEEDBACK, stage);
                 if last_mb {
                     w.stage(&[pic.temporal_ref as u8]);
                 }
@@ -1156,10 +1181,11 @@ impl Coprocessor for McMeCoproc {
 
     fn step(&mut self, task: TaskIdx, _info: u32, ctx: &mut StepCtx<'_>) -> StepResult {
         let cost = self.cost;
+        let stage = &mut self.stage;
         match self.tasks.get_mut(&task).expect("unconfigured MC/ME task") {
-            TaskKind::Mc(t) => step_mc(t, &cost, ctx),
-            TaskKind::Me(t) => step_me(t, &cost, ctx),
-            TaskKind::Recon(t) => step_recon(t, &cost, ctx),
+            TaskKind::Mc(t) => step_mc(t, &cost, &mut stage[0], ctx),
+            TaskKind::Me(t) => step_me(t, &cost, stage, &mut self.windows, ctx),
+            TaskKind::Recon(t) => step_recon(t, &cost, &mut stage[0], ctx),
         }
     }
 }

@@ -14,8 +14,12 @@
 //! EOS  := 0xFF                                                                 (1 B, all streams)
 //! ```
 
+use eclipse_core::StepCtx;
 use eclipse_media::motion::{MotionVector, PredictionMode};
+use eclipse_media::scan::RunLevel;
 use eclipse_media::stream::PictureType;
+
+use crate::io::StepReader;
 
 /// The simulated-time interval during which a coprocessor task processed
 /// one picture — the basis for the per-picture-type bottleneck analysis
@@ -49,6 +53,9 @@ pub const MBMV_REC_BYTES: u32 = 11;
 pub const CBLK_REC_BYTES: u32 = 129;
 /// Size of a reconstructed-macroblock record (6 × 64 samples).
 pub const PIX_REC_BYTES: u32 = 384;
+/// Size of one run/level symbol on the token stream: the run, then the
+/// level as a little-endian `i16`.
+pub const SYM_REC_BYTES: u32 = 3;
 
 /// Macroblock prediction mode codes on the wire.
 pub mod mode {
@@ -198,6 +205,38 @@ pub fn cblk_from_body(b: &[u8]) -> Option<[i16; 64]> {
     Some(out)
 }
 
+/// Read one block's `nsym` (at most 64) symbol records at the read head
+/// of `r` into `out[..nsym]`, as one record run. Returns false, reading
+/// nothing, when the window cannot cover them (the step is blocked).
+pub fn read_symbols(
+    r: &mut StepReader,
+    ctx: &mut StepCtx<'_>,
+    nsym: u32,
+    out: &mut [RunLevel; 64],
+) -> bool {
+    debug_assert!(nsym <= 64, "{nsym} symbols exceed a block");
+    let len = nsym * SYM_REC_BYTES;
+    if !r.need(ctx, len) {
+        return false;
+    }
+    let mut raw = [0u8; 64 * SYM_REC_BYTES as usize];
+    let raw = &mut raw[..len as usize];
+    r.read_run(ctx, SYM_REC_BYTES as usize, raw);
+    symbols_from_bytes(raw, out);
+    true
+}
+
+/// Deserialize the whole [`SYM_REC_BYTES`] symbol records of `b` (one
+/// block's, at most 64) into `out`.
+fn symbols_from_bytes(b: &[u8], out: &mut [RunLevel; 64]) {
+    for (s, r) in out.iter_mut().zip(b.chunks_exact(SYM_REC_BYTES as usize)) {
+        *s = RunLevel {
+            run: r[0],
+            level: i16::from_le_bytes([r[1], r[2]]),
+        };
+    }
+}
+
 /// Serialize a reconstructed macroblock (6 × 64 samples, clamped).
 pub fn pix_to_bytes(blocks: &[[i16; 64]; 6]) -> [u8; PIX_REC_BYTES as usize] {
     let mut b = [0u8; PIX_REC_BYTES as usize];
@@ -226,6 +265,28 @@ pub fn pix_from_bytes(b: &[u8]) -> Option<[[i16; 64]; 6]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn symbol_records_round_trip() {
+        let symbols = [
+            RunLevel {
+                run: 0,
+                level: -2048,
+            },
+            RunLevel { run: 63, level: 1 },
+            RunLevel { run: 5, level: 300 },
+        ];
+        // The producers' layout: run, then level little-endian.
+        let bytes: Vec<u8> = symbols
+            .iter()
+            .flat_map(|s| [s.run, s.level.to_le_bytes()[0], s.level.to_le_bytes()[1]])
+            .collect();
+        assert_eq!(bytes.len(), symbols.len() * SYM_REC_BYTES as usize);
+        let mut out = [RunLevel::default(); 64];
+        symbols_from_bytes(&bytes, &mut out);
+        assert_eq!(&out[..3], &symbols);
+        assert_eq!(out[3], RunLevel::default());
+    }
 
     #[test]
     fn pic_rec_round_trip() {

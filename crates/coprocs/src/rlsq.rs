@@ -106,6 +106,8 @@ pub struct RlsqCoproc {
     /// Ordered map: checkpoint serialization iterates it, and two builds
     /// of the same system must produce identical bytes.
     tasks: BTreeMap<TaskIdx, RlsqTask>,
+    /// Output staging buffers every step reuses (scratch, not state).
+    stage: [Vec<u8>; 2],
 }
 
 impl RlsqCoproc {
@@ -114,6 +116,7 @@ impl RlsqCoproc {
         RlsqCoproc {
             cost,
             tasks: BTreeMap::new(),
+            stage: Default::default(),
         }
     }
 
@@ -200,16 +203,22 @@ impl Coprocessor for RlsqCoproc {
     fn step(&mut self, task: TaskIdx, _info: u32, ctx: &mut StepCtx<'_>) -> StepResult {
         let cost = self.cost;
         let t = self.tasks.get_mut(&task).expect("unconfigured RLSQ task");
+        let stage = &mut self.stage;
         match t.function {
-            Function::Decode => step_decode(t, &cost, ctx),
-            Function::EncodeQrl => step_qrl(t, &cost, ctx),
-            Function::Iq => step_iq(t, &cost, ctx),
+            Function::Decode => step_decode(t, &cost, &mut stage[0], ctx),
+            Function::EncodeQrl => step_qrl(t, &cost, stage, ctx),
+            Function::Iq => step_iq(t, &cost, &mut stage[0], ctx),
         }
     }
 }
 
 /// Decode direction: one macroblock's coefficient data per step.
-fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResult {
+fn step_decode(
+    t: &mut RlsqTask,
+    cost: &RlsqCost,
+    stage: &mut Vec<u8>,
+    ctx: &mut StepCtx<'_>,
+) -> StepResult {
     const IN: PortId = 0;
     const OUT: PortId = 1; // port numbering: inputs first, then outputs
 
@@ -222,7 +231,7 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
         TAG_EOS => {
             let mut buf = [0u8; 1];
             r.read(ctx, &mut buf);
-            let mut w = StepWriter::new(OUT);
+            let mut w = StepWriter::new(OUT, stage);
             w.stage(&[TAG_EOS]);
             if !w.reserve(ctx) {
                 return StepResult::Blocked;
@@ -260,7 +269,7 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
             };
             let (mode_code, cbp) = (hdr[1], hdr[2]);
             let intra = mode_code == records::mode::INTRA;
-            let mut w = StepWriter::new(OUT);
+            let mut w = StepWriter::new(OUT, stage);
             let mut cycles = cost.per_mb;
             let mut coefs: u64 = 0;
             let mut blocks: u64 = 0;
@@ -300,19 +309,11 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
                     blocks += 1;
                     continue;
                 }
-                if !r.need(ctx, nsym * 3) {
+                let mut symbols = [RunLevel::default(); 64];
+                if !records::read_symbols(&mut r, ctx, nsym, &mut symbols) {
                     return StepResult::Blocked;
                 }
-                let mut symbols = Vec::with_capacity(nsym as usize);
-                for _ in 0..nsym {
-                    let mut sb = [0u8; 3];
-                    r.read(ctx, &mut sb);
-                    symbols.push(RunLevel {
-                        run: sb[0],
-                        level: i16::from_le_bytes([sb[1], sb[2]]),
-                    });
-                }
-                let mut levels = match rle_decode(&symbols) {
+                let mut levels = match rle_decode(&symbols[..nsym as usize]) {
                     Ok(levels) => levels,
                     Err(_) => {
                         // Run/level data overflows the block: zero it.
@@ -352,7 +353,12 @@ fn step_decode(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> Step
 /// (in0) and the FDCT coefficient blocks (in1); emits token records for
 /// the VLE (out0) and quantized level blocks for the reconstruction loop
 /// (out1).
-fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResult {
+fn step_qrl(
+    t: &mut RlsqTask,
+    cost: &RlsqCost,
+    stage: &mut [Vec<u8>; 2],
+    ctx: &mut StepCtx<'_>,
+) -> StepResult {
     const IN_MB: PortId = 0;
     const IN_COEF: PortId = 1;
     const OUT_TOKEN: PortId = 2;
@@ -367,8 +373,9 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
         TAG_EOS => {
             let mut b = [0u8; 1];
             r_mb.read(ctx, &mut b);
-            let mut w_tok = StepWriter::new(OUT_TOKEN);
-            let mut w_lvl = StepWriter::new(OUT_LEVELS);
+            let [tok, lvl] = stage;
+            let mut w_tok = StepWriter::new(OUT_TOKEN, tok);
+            let mut w_lvl = StepWriter::new(OUT_LEVELS, lvl);
             w_tok.stage(&[TAG_EOS]);
             w_lvl.stage(&[TAG_EOS]);
             if !w_tok.reserve(ctx) || !w_lvl.reserve(ctx) {
@@ -393,8 +400,9 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
                 return StepResult::Done;
             };
             // Forward the picture header on both outputs.
-            let mut w_tok = StepWriter::new(OUT_TOKEN);
-            let mut w_lvl = StepWriter::new(OUT_LEVELS);
+            let [tok, lvl] = stage;
+            let mut w_tok = StepWriter::new(OUT_TOKEN, tok);
+            let mut w_lvl = StepWriter::new(OUT_LEVELS, lvl);
             w_tok.stage(&body);
             w_lvl.stage(&body);
             if !w_tok.reserve(ctx) || !w_lvl.reserve(ctx) {
@@ -427,7 +435,10 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
             let mut level_blocks = [[0i16; 64]; 6];
             let mut cbp: u8 = 0;
             let mut cycles = cost.per_mb;
-            let mut symbol_sets: Vec<(usize, Option<i16>, Vec<RunLevel>)> = Vec::new();
+            // Per coded block (cbp bit set): DC difference and symbols.
+            let mut dc_diffs = [None; 6];
+            let mut symbols = [[RunLevel::default(); 64]; 6];
+            let mut nsyms = [0usize; 6];
             let mut dc_pred = t.dc_pred;
             for (blk, lv_out) in level_blocks.iter_mut().enumerate() {
                 let rec = match r_coef.take::<{ records::CBLK_REC_BYTES as usize }>(ctx) {
@@ -454,50 +465,48 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
                 };
                 if coded {
                     cbp |= 1 << (5 - blk);
-                    let (dc_diff, symbols) = if intra {
+                    nsyms[blk] = if intra {
                         let comp = match blk {
                             0..=3 => 0,
                             4 => 1,
                             _ => 2,
                         };
                         let dc = levels[0];
-                        let diff = dc - dc_pred[comp];
+                        dc_diffs[blk] = Some(dc - dc_pred[comp]);
                         dc_pred[comp] = dc;
                         let mut ac = levels;
                         ac[0] = 0;
-                        (Some(diff), rle_encode(&ac))
+                        rle_encode(&ac, &mut symbols[blk])
                     } else {
-                        (None, rle_encode(&levels))
+                        rle_encode(&levels, &mut symbols[blk])
                     };
-                    cycles +=
-                        cost.per_block + (symbols.len() as u64 + intra as u64) * cost.per_coef;
-                    t.coefs_processed += symbols.len() as u64 + intra as u64;
-                    symbol_sets.push((blk, dc_diff, symbols));
+                    let n = nsyms[blk] as u64 + intra as u64;
+                    cycles += cost.per_block + n * cost.per_coef;
+                    t.coefs_processed += n;
                     *lv_out = levels;
                 }
             }
             // Token record for the VLE: MBMV header (mode/mv/cbp now
-            // final) followed by per-block symbol data.
-            let mut w_tok = StepWriter::new(OUT_TOKEN);
+            // final) followed by per-block symbol data; then the level
+            // blocks for the reconstruction loop: MB header (with final
+            // cbp) + the coded level blocks.
+            let [tok, lvl] = stage;
+            let mut w_tok = StepWriter::new(OUT_TOKEN, tok);
+            let mut w_lvl = StepWriter::new(OUT_LEVELS, lvl);
             let mut mv_hdr = hdr;
             mv_hdr[2] = cbp;
             w_tok.stage(&mv_hdr);
-            for (_blk, dc_diff, symbols) in &symbol_sets {
-                if let Some(diff) = dc_diff {
+            w_lvl.stage(&mv_hdr);
+            for blk in (0..6).filter(|blk| cbp & (1 << (5 - blk)) != 0) {
+                if let Some(diff) = dc_diffs[blk] {
                     w_tok.stage(&diff.to_le_bytes());
                 }
-                w_tok.stage(&(symbols.len() as u16).to_le_bytes());
-                for s in symbols {
+                w_tok.stage(&(nsyms[blk] as u16).to_le_bytes());
+                for s in &symbols[blk][..nsyms[blk]] {
                     w_tok.stage(&[s.run]);
                     w_tok.stage(&s.level.to_le_bytes());
                 }
-            }
-            // Level blocks for the reconstruction loop: MB header (with
-            // final cbp) + the coded level blocks.
-            let mut w_lvl = StepWriter::new(OUT_LEVELS);
-            w_lvl.stage(&mv_hdr);
-            for (blk, _dc, _s) in &symbol_sets {
-                w_lvl.stage(&cblk_to_bytes(&level_blocks[*blk]));
+                w_lvl.stage(&cblk_to_bytes(&level_blocks[blk]));
             }
             if !w_tok.reserve(ctx) || !w_lvl.reserve(ctx) {
                 return StepResult::Blocked;
@@ -508,7 +517,7 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
             r_coef.commit(ctx);
             ctx.compute(cycles);
             t.dc_pred = dc_pred;
-            t.blocks_processed += symbol_sets.len() as u64;
+            t.blocks_processed += cbp.count_ones() as u64;
             t.errors_recovered += errs;
             StepResult::Done
         }
@@ -517,7 +526,12 @@ fn step_qrl(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepRes
 }
 
 /// Encode reconstruction loop: inverse-quantize the level blocks.
-fn step_iq(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResult {
+fn step_iq(
+    t: &mut RlsqTask,
+    cost: &RlsqCost,
+    stage: &mut Vec<u8>,
+    ctx: &mut StepCtx<'_>,
+) -> StepResult {
     const IN: PortId = 0;
     const OUT: PortId = 1;
     let mut r = StepReader::new(IN);
@@ -529,7 +543,7 @@ fn step_iq(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResu
         TAG_EOS => {
             let mut b = [0u8; 1];
             r.read(ctx, &mut b);
-            let mut w = StepWriter::new(OUT);
+            let mut w = StepWriter::new(OUT, stage);
             w.stage(&[TAG_EOS]);
             if !w.reserve(ctx) {
                 return StepResult::Blocked;
@@ -552,7 +566,7 @@ fn step_iq(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResu
                 return StepResult::Done;
             };
             // Forward downstream (the IDCT/RECON need picture context).
-            let mut w = StepWriter::new(OUT);
+            let mut w = StepWriter::new(OUT, stage);
             w.stage(&body);
             if !w.reserve(ctx) {
                 return StepResult::Blocked;
@@ -575,7 +589,7 @@ fn step_iq(t: &mut RlsqTask, cost: &RlsqCost, ctx: &mut StepCtx<'_>) -> StepResu
             let mode_code = hdr[1];
             let cbp = hdr[2];
             let intra = mode_code == records::mode::INTRA;
-            let mut w = StepWriter::new(OUT);
+            let mut w = StepWriter::new(OUT, stage);
             w.stage(&hdr);
             let mut cycles = cost.per_mb;
             for blk in 0..6 {

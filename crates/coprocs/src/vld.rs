@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 use eclipse_core::{Coprocessor, StepCtx, StepResult};
 use eclipse_media::bits::BitReader;
 use eclipse_media::motion::PredictionMode;
+use eclipse_media::scan::RunLevel;
 use eclipse_media::stream::{
     read_mb_header, read_picture_header, read_sequence_header, SequenceHeader, MARKER_END,
     MARKER_PIC, MARKER_SEQ,
@@ -232,6 +233,21 @@ impl VldTask {
         for v in &mut dc_pred {
             *v = r.i16()?;
         }
+        // What `step` relies on: the outputs follow the source's input
+        // port, the parse position lies in the fetched bytes, and a
+        // macroblock state has a picture with macroblocks left in it.
+        let base = matches!(cfg.source, VldSource::Port) as PortId;
+        if (port_token, port_mv) != (base, base + 1) {
+            return Err(SnapError::Corrupt("vld output ports"));
+        }
+        if bit_pos > fetched.len() * 8 {
+            return Err(SnapError::Corrupt("vld bit position"));
+        }
+        if state == VldState::Mb
+            && !cur_pic.is_some_and(|pic| (1..=pic.mb_count()).contains(&mb_left))
+        {
+            return Err(SnapError::Corrupt("vld MB state without picture"));
+        }
         Ok(VldTask {
             cfg,
             fetched,
@@ -287,6 +303,9 @@ pub struct VldCoproc {
     /// builds of the same system must produce identical bytes.
     cfgs: BTreeMap<String, VldTaskConfig>,
     tasks: BTreeMap<TaskIdx, VldTask>,
+    /// Staging buffers of the token and mv outputs, reused by every step
+    /// (scratch, not state).
+    stage: [Vec<u8>; 2],
 }
 
 impl VldCoproc {
@@ -296,6 +315,7 @@ impl VldCoproc {
             cost,
             cfgs,
             tasks: BTreeMap::new(),
+            stage: Default::default(),
         }
     }
 
@@ -324,11 +344,10 @@ impl VldCoproc {
             VldSource::Dram { addr, len } => {
                 let want = ((t.bit_pos / 8) + bytes_ahead).min(len as usize);
                 while t.fetched.len() < want {
-                    let chunk = (cost.fetch_chunk as usize).min(len as usize - t.fetched.len());
-                    let a = addr + t.fetched.len() as u32;
-                    let mut buf = vec![0u8; chunk];
-                    ctx.dram_read(a, &mut buf);
-                    t.fetched.extend_from_slice(&buf);
+                    let have = t.fetched.len();
+                    let chunk = (cost.fetch_chunk as usize).min(len as usize - have);
+                    t.fetched.resize(have + chunk, 0);
+                    ctx.dram_read(addr + have as u32, &mut t.fetched[have..]);
                 }
                 true
             }
@@ -350,14 +369,14 @@ impl VldCoproc {
                     if !ctx.get_space(IN, 2 + len) {
                         return false;
                     }
-                    let mut payload = vec![0u8; len as usize];
-                    ctx.read(IN, 2, &mut payload);
+                    let have = t.fetched.len();
+                    t.fetched.resize(have + len as usize, 0);
+                    ctx.read(IN, 2, &mut t.fetched[have..]);
                     // Copying into the local fetch buffer commits the
                     // input — safe even if the step later aborts, because
                     // the buffer is persistent task state.
                     ctx.put_space(IN, 2 + len);
                     ctx.compute(4 + len as u64 / 8);
-                    t.fetched.extend_from_slice(&payload);
                 }
                 true
             }
@@ -485,6 +504,7 @@ impl Coprocessor for VldCoproc {
         let cost = self.cost;
         let t = self.tasks.get_mut(&task).expect("unconfigured VLD task");
         let (port_token, port_mv) = (t.port_token, t.port_mv);
+        let [tok_buf, mv_buf] = &mut self.stage;
         match t.state {
             VldState::Seq => {
                 if !Self::ensure_fetched(t, &cost, ctx, 32) {
@@ -542,8 +562,8 @@ impl Coprocessor for VldCoproc {
                 }
                 if marker == MARKER_END {
                     // Emit end-of-stream on both outputs, then finish.
-                    let mut w_tok = StepWriter::new(port_token);
-                    let mut w_mv = StepWriter::new(port_mv);
+                    let mut w_tok = StepWriter::new(port_token, tok_buf);
+                    let mut w_mv = StepWriter::new(port_mv, mv_buf);
                     w_tok.stage(&[TAG_EOS]);
                     w_mv.stage(&[TAG_EOS]);
                     if !w_tok.reserve(ctx) || !w_mv.reserve(ctx) {
@@ -577,8 +597,8 @@ impl Coprocessor for VldCoproc {
                     mb_cols: seq.width / 16,
                     mb_rows: seq.height / 16,
                 };
-                let mut w_tok = StepWriter::new(port_token);
-                let mut w_mv = StepWriter::new(port_mv);
+                let mut w_tok = StepWriter::new(port_token, tok_buf);
+                let mut w_mv = StepWriter::new(port_mv, mv_buf);
                 w_tok.stage(&pic.to_bytes());
                 w_mv.stage(&pic.to_bytes());
                 if !w_tok.reserve(ctx) || !w_mv.reserve(ctx) {
@@ -622,7 +642,6 @@ impl Coprocessor for VldCoproc {
                 if !Self::ensure_fetched(t, &cost, ctx, 4096) {
                     return StepResult::Blocked;
                 }
-                let _pic = t.cur_pic.expect("MB state without picture");
                 let mut r = BitReader::new(&t.fetched);
                 r.seek(t.bit_pos);
                 let start_bits = r.bit_pos();
@@ -640,14 +659,15 @@ impl Coprocessor for VldCoproc {
                 let (mode_code, fwd, bwd) = records::encode_mode(mb.mode);
                 let intra = mode_code == records::mode::INTRA;
 
-                let mut w_tok = StepWriter::new(port_token);
-                let mut w_mv = StepWriter::new(port_mv);
+                let mut w_tok = StepWriter::new(port_token, tok_buf);
+                let mut w_mv = StepWriter::new(port_mv, mv_buf);
                 w_tok.stage(&[TAG_MB, mode_code, mb.cbp]);
                 w_mv.stage(&records::mbmv_to_bytes(mode_code, mb.cbp, fwd, bwd));
 
                 // Parse coefficient data, staging the DC predictor state.
                 let mut dc_pred = t.dc_pred;
                 let mut parse_ok = true;
+                let mut symbols = [RunLevel::default(); 64];
                 'blocks: for blk in 0..6 {
                     if mb.cbp & (1 << (5 - blk)) == 0 {
                         continue;
@@ -671,15 +691,15 @@ impl Coprocessor for VldCoproc {
                         dc_pred[comp] = dc;
                         w_tok.stage(&dc.to_le_bytes());
                     }
-                    let symbols = match get_block(&mut r) {
-                        Ok((s, _)) => s,
+                    let n = match get_block(&mut r, &mut symbols) {
+                        Ok((n, _)) => n,
                         Err(_) => {
                             parse_ok = false;
                             break 'blocks;
                         }
                     };
-                    w_tok.stage(&(symbols.len() as u16).to_le_bytes());
-                    for s in &symbols {
+                    w_tok.stage(&(n as u16).to_le_bytes());
+                    for s in &symbols[..n] {
                         w_tok.stage(&[s.run]);
                         w_tok.stage(&s.level.to_le_bytes());
                     }
@@ -719,8 +739,8 @@ impl Coprocessor for VldCoproc {
                 // reference frame).
                 if t.conceal_left > 0 {
                     let (mode_code, fwd, bwd) = records::encode_mode(Some(PredictionMode::Intra));
-                    let mut w_tok = StepWriter::new(port_token);
-                    let mut w_mv = StepWriter::new(port_mv);
+                    let mut w_tok = StepWriter::new(port_token, tok_buf);
+                    let mut w_mv = StepWriter::new(port_mv, mv_buf);
                     w_tok.stage(&[TAG_MB, mode_code, 0]);
                     w_mv.stage(&records::mbmv_to_bytes(mode_code, 0, fwd, bwd));
                     if !w_tok.reserve(ctx) || !w_mv.reserve(ctx) {
@@ -772,8 +792,8 @@ impl Coprocessor for VldCoproc {
                 // Truncated or unrecoverable stream: emit end-of-stream on
                 // both outputs so the rest of the graph terminates instead
                 // of deadlocking on input that will never come.
-                let mut w_tok = StepWriter::new(port_token);
-                let mut w_mv = StepWriter::new(port_mv);
+                let mut w_tok = StepWriter::new(port_token, tok_buf);
+                let mut w_mv = StepWriter::new(port_mv, mv_buf);
                 w_tok.stage(&[TAG_EOS]);
                 w_mv.stage(&[TAG_EOS]);
                 if !w_tok.reserve(ctx) || !w_mv.reserve(ctx) {
@@ -785,5 +805,88 @@ impl Coprocessor for VldCoproc {
                 StepResult::Finished
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eclipse_media::stream::PictureType;
+
+    /// A task mid-picture: the state every check below mutates.
+    fn mid_picture(source: VldSource) -> VldTask {
+        let base = matches!(source, VldSource::Port) as PortId;
+        let pic = PicRec {
+            ptype: PictureType::P,
+            qscale: 8,
+            temporal_ref: 1,
+            mb_cols: 11,
+            mb_rows: 9,
+        };
+        VldTask {
+            cfg: VldTaskConfig { source },
+            fetched: vec![0; 64],
+            source_done: false,
+            port_token: base,
+            port_mv: base + 1,
+            bit_pos: 100,
+            seq: None,
+            state: VldState::Mb,
+            cur_pic: Some(pic),
+            mb_left: 40,
+            dc_pred: [128; 3],
+            bits_parsed: 0,
+            mbs_decoded: 0,
+            conceal_left: 0,
+            in_recovery: false,
+            errors_recovered: 0,
+            mbs_concealed: 0,
+            conceal_only: false,
+        }
+    }
+
+    fn reload(t: &VldTask) -> Result<VldTask, SnapError> {
+        let mut w = SnapWriter::new();
+        t.save_state(&mut w);
+        let bytes = w.into_bytes();
+        VldTask::load_state(&mut SnapReader::new(&bytes))
+    }
+
+    #[test]
+    fn restore_rejects_states_step_cannot_run() {
+        for source in [VldSource::Dram { addr: 0, len: 64 }, VldSource::Port] {
+            assert!(reload(&mid_picture(source)).is_ok());
+            let corrupt: [fn(&mut VldTask); 8] = [
+                |t| t.cur_pic = None,
+                |t| t.mb_left = 0,
+                |t| t.mb_left = 100,
+                |t| t.port_token += 1,
+                |t| t.port_mv += 1,
+                |t| (t.port_token, t.port_mv) = (t.port_mv, t.port_token),
+                // The other source's port layout.
+                |t| {
+                    let base = 1 - t.port_token;
+                    (t.port_token, t.port_mv) = (base, base + 1);
+                },
+                |t| t.bit_pos = 64 * 8 + 1,
+            ];
+            for (i, mutate) in corrupt.iter().enumerate() {
+                let mut t = mid_picture(source);
+                mutate(&mut t);
+                assert!(
+                    matches!(reload(&t), Err(SnapError::Corrupt(_))),
+                    "mutation {i} of {source:?} restored"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn picture_free_states_restore() {
+        let mut t = mid_picture(VldSource::Port);
+        t.state = VldState::PicOrEnd;
+        t.cur_pic = None;
+        t.mb_left = 0;
+        assert!(reload(&t).is_ok());
     }
 }

@@ -146,6 +146,19 @@ impl<'a> StepCtx<'a> {
         self.cost += done - now;
     }
 
+    /// `Read` `buf.len() / rec` consecutive `rec`-byte records at `offset`
+    /// inside the granted window of input `port` in one shell call. It
+    /// costs exactly what one [`StepCtx::read`] per record costs, each
+    /// issued when the previous one completed (see [`Shell::read_run`]).
+    pub fn read_run(&mut self, port: PortId, offset: u32, rec: usize, buf: &mut [u8]) {
+        let now = self.now();
+        let done = self
+            .shell
+            .read_run(self.task, port, offset, rec, buf, now, self.mem);
+        self.stall += done - now;
+        self.cost += done - now;
+    }
+
     /// `Write` `data` at `offset` inside the granted window of output
     /// `port`. Absorbed by the shell's write cache. An active fault
     /// injector may flip one bit of the transfer (SRAM corruption as

@@ -223,6 +223,9 @@ pub struct EclipseSystem {
     /// it, so the buffer is allocated once and reused. Empty between
     /// events, hence not part of checkpoints.
     step_msgs: Vec<SyncMsg>,
+    /// Scratch for the sampler's series names, reused by every sample
+    /// (scratch, not state).
+    sample_name: String,
     idle_since: Vec<Option<Cycle>>,
     utilization: Vec<Utilization>,
     trace: TraceLog,

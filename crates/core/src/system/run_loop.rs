@@ -415,10 +415,11 @@ impl EclipseSystem {
 
     pub(crate) fn sample(&mut self, now: Cycle) {
         use std::fmt::Write as _;
-        // One scratch buffer for all the series names below: sampling runs
-        // every couple thousand cycles over every row and task, and a
-        // `format!` per record was a measurable share of host allocations.
-        let mut name = String::with_capacity(48);
+        // One scratch buffer for all the series names below, kept across
+        // samples: sampling runs every couple thousand cycles over every
+        // row and task, and a `format!` per record was a measurable share
+        // of host allocations.
+        let mut name = std::mem::take(&mut self.sample_name);
         for (s, shell) in self.shells.iter().enumerate() {
             for (r, row) in shell.rows().iter().enumerate() {
                 if row.retired {
@@ -480,5 +481,6 @@ impl EclipseSystem {
                 });
             }
         }
+        self.sample_name = name;
     }
 }

@@ -345,6 +345,7 @@ impl SystemBuilder {
             started: false,
             cal: Calendar::new(),
             step_msgs: Vec::new(),
+            sample_name: String::new(),
             idle_since: vec![None; n],
             utilization: vec![Utilization::default(); n],
             trace: TraceLog::new(),

@@ -80,21 +80,13 @@ impl BitWriter {
         self.bytes
     }
 
-    /// Remove and return all *complete* bytes written so far, keeping any
-    /// partially filled trailing byte in place. Used by streaming
-    /// entropy-coder tasks (VLE) that emit their output incrementally.
-    pub fn drain_complete_bytes(&mut self) -> Vec<u8> {
-        if self.bit_pos == 0 {
-            std::mem::take(&mut self.bytes)
-        } else {
-            let last = self
-                .bytes
-                .pop()
-                .expect("bit_pos != 0 implies a partial byte");
-            let out = std::mem::take(&mut self.bytes);
-            self.bytes.push(last);
-            out
-        }
+    /// Move all *complete* bytes written so far to the end of `out`,
+    /// keeping any partially filled trailing byte in place. Used by
+    /// streaming entropy-coder tasks (VLE) that emit their output
+    /// incrementally.
+    pub fn drain_complete_into(&mut self, out: &mut Vec<u8>) {
+        let complete = self.bytes.len() - (self.bit_pos != 0) as usize;
+        out.extend(self.bytes.drain(..complete));
     }
 }
 
@@ -215,6 +207,20 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn drained_bytes_concatenate_to_the_whole_stream() {
+        let mut whole = BitWriter::new();
+        let mut streamed = BitWriter::new();
+        let mut out = Vec::new();
+        for (v, n) in [(0xABC, 12), (0x5, 4), (0x1, 3), (0x7F, 7)] {
+            whole.put_bits(v, n);
+            streamed.put_bits(v, n);
+            streamed.drain_complete_into(&mut out);
+        }
+        out.extend(streamed.finish());
+        assert_eq!(out, whole.finish());
+    }
 
     #[test]
     fn write_read_round_trip() {

@@ -16,7 +16,7 @@ use crate::motion::{
 };
 use crate::quant::{quant_inter, quant_intra};
 use crate::recon::reconstruct_mb;
-use crate::scan::rle_encode;
+use crate::scan::{rle_encode, RunLevel};
 use crate::stream::{
     write_end, write_mb_header, write_picture_header, write_sequence_header, GopConfig, MbHeader,
     PictureHeader, PictureType, SequenceHeader,
@@ -354,6 +354,7 @@ impl Encoder {
                 cbp,
             },
         );
+        let mut symbols = [RunLevel::default(); 64];
         for (blk, lv) in levels.iter().enumerate().take(BLOCKS_PER_MB) {
             if cbp & (1 << (5 - blk)) == 0 {
                 continue;
@@ -366,13 +367,13 @@ impl Encoder {
                 dc_pred[comp] = dc;
                 let mut ac = *lv;
                 ac[0] = 0;
-                let symbols = rle_encode(&ac);
-                pic.coefficients += symbols.len() as u64 + 1; // + DC
-                put_block(w, &symbols);
+                let n = rle_encode(&ac, &mut symbols);
+                pic.coefficients += n as u64 + 1; // + DC
+                put_block(w, &symbols[..n]);
             } else {
-                let symbols = rle_encode(lv);
-                pic.coefficients += symbols.len() as u64;
-                put_block(w, &symbols);
+                let n = rle_encode(lv, &mut symbols);
+                pic.coefficients += n as u64;
+                put_block(w, &symbols[..n]);
             }
         }
         if intra {

@@ -128,7 +128,7 @@ pub fn mb_luma_from_blocks(blocks: &[[i16; 64]; BLOCKS_PER_MB]) -> MbLuma {
 /// frame edge. Clamping is separable and monotonic, so that equals
 /// clamping each coordinate to the frame, the MPEG edge rule of
 /// [`sample_half`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SearchWindow {
     range: u8,
     /// Frame coordinates of window sample (0, 0); may be negative.
@@ -146,6 +146,16 @@ impl SearchWindow {
     /// frame. Fill its part inside the frame with
     /// [`put_tile`](Self::put_tile), then call [`pad`](Self::pad).
     pub fn new(width: usize, height: usize, mbx: usize, mby: usize, range: u8) -> Self {
+        let mut win = SearchWindow::default();
+        win.recenter(width, height, mbx, mby, range);
+        win
+    }
+
+    /// Make this window the unfilled window of [`SearchWindow::new`],
+    /// reusing its sample storage (no allocation once it has held a
+    /// window of this range). The previous samples stay until filling
+    /// and padding overwrite every one of them.
+    pub fn recenter(&mut self, width: usize, height: usize, mbx: usize, mby: usize, range: u8) {
         let margin = range as i32 + 1;
         let side = MB_SIZE + 2 * margin as usize;
         let x0 = (mbx * MB_SIZE) as i32 - margin;
@@ -157,14 +167,12 @@ impl SearchWindow {
         };
         let (ix0, ix1) = clip(x0, width);
         let (iy0, iy1) = clip(y0, height);
-        SearchWindow {
-            range,
-            x0,
-            y0,
-            side,
-            inner: (ix0, iy0, ix1, iy1),
-            data: vec![0; side * side],
-        }
+        self.range = range;
+        self.x0 = x0;
+        self.y0 = y0;
+        self.side = side;
+        self.inner = (ix0, iy0, ix1, iy1);
+        self.data.resize(side * side, 0);
     }
 
     /// The window for macroblock (mbx, mby) over `plane`.
@@ -583,6 +591,34 @@ mod tests {
             *p = (h >> 56) as u8;
         }
         f
+    }
+
+    /// One window recentred over every macroblock in turn and filled
+    /// tile by tile, as the ME coprocessor reuses its windows, holds the
+    /// samples of a fresh window from the plane.
+    #[test]
+    fn recentred_window_equals_fresh_window() {
+        let frame = random_frame(3, 2, 7);
+        let (w, h) = (frame.y.width as i32, frame.y.height as i32);
+        let mut win = SearchWindow::default();
+        for range in [15u8, 4, 8] {
+            for mby in 0..2 {
+                for mbx in 0..3 {
+                    win.recenter(w as usize, h as usize, mbx, mby, range);
+                    for ty in (0..h).step_by(8) {
+                        for tx in (0..w).step_by(8) {
+                            let mut tile = [0i16; 64];
+                            frame.y.get_block8(tx as usize, ty as usize, &mut tile);
+                            win.put_tile(tx, ty, &tile);
+                        }
+                    }
+                    win.pad();
+                    let fresh = SearchWindow::from_plane(&frame.y, mbx, mby, range);
+                    assert_eq!((win.side, win.inner), (fresh.side, fresh.inner));
+                    assert_eq!(win.data, fresh.data, "mb ({mbx}, {mby}) range {range}");
+                }
+            }
+        }
     }
 
     proptest! {

@@ -22,7 +22,7 @@ pub const ZIGZAG: [u8; 64] = [
 ];
 
 /// One run-length symbol: `run` zeros followed by non-zero `level`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunLevel {
     /// Number of zero coefficients preceding the level (0..=62).
     pub run: u8,
@@ -30,21 +30,23 @@ pub struct RunLevel {
     pub level: i16,
 }
 
-/// Run-length encode a quantized block in zigzag order. The implicit
-/// end-of-block marker is *not* included in the output.
-pub fn rle_encode(levels: &Block) -> Vec<RunLevel> {
-    let mut out = Vec::new();
+/// Run-length encode a quantized block in zigzag order into `out` and
+/// return the symbol count (the symbols are `out[..count]`; a block has
+/// at most 64). The implicit end-of-block marker is *not* included.
+pub fn rle_encode(levels: &Block, out: &mut [RunLevel; 64]) -> usize {
+    let mut n = 0;
     let mut run: u8 = 0;
     for &zz in ZIGZAG.iter() {
         let v = levels[zz as usize];
         if v == 0 {
             run += 1;
         } else {
-            out.push(RunLevel { run, level: v });
+            out[n] = RunLevel { run, level: v };
+            n += 1;
             run = 0;
         }
     }
-    out
+    n
 }
 
 /// Error from [`rle_decode`]: the symbols overflow the 64-coefficient
@@ -79,6 +81,13 @@ pub fn rle_decode(symbols: &[RunLevel]) -> Result<Block, RleOverflow> {
 mod tests {
     use super::*;
 
+    /// The symbols `rle_encode` writes, as a `Vec`.
+    pub(super) fn encode(b: &Block) -> Vec<RunLevel> {
+        let mut out = [RunLevel::default(); 64];
+        let n = rle_encode(b, &mut out);
+        out[..n].to_vec()
+    }
+
     #[test]
     fn zigzag_is_a_permutation() {
         let mut seen = [false; 64];
@@ -100,7 +109,7 @@ mod tests {
     #[test]
     fn empty_block_encodes_to_nothing() {
         let b = [0i16; 64];
-        assert!(rle_encode(&b).is_empty());
+        assert!(encode(&b).is_empty());
         assert_eq!(rle_decode(&[]).unwrap(), b);
     }
 
@@ -108,7 +117,7 @@ mod tests {
     fn single_dc_coefficient() {
         let mut b = [0i16; 64];
         b[0] = 42;
-        let syms = rle_encode(&b);
+        let syms = encode(&b);
         assert_eq!(syms, vec![RunLevel { run: 0, level: 42 }]);
         assert_eq!(rle_decode(&syms).unwrap(), b);
     }
@@ -118,7 +127,7 @@ mod tests {
         let mut b = [0i16; 64];
         b[0] = 5; // scan pos 0
         b[16] = -3; // raster 16 = zigzag pos 3
-        let syms = rle_encode(&b);
+        let syms = encode(&b);
         assert_eq!(
             syms,
             vec![
@@ -133,7 +142,7 @@ mod tests {
     fn last_coefficient_round_trips() {
         let mut b = [0i16; 64];
         b[63] = 7; // zigzag pos 63 -> run of 63
-        let syms = rle_encode(&b);
+        let syms = encode(&b);
         assert_eq!(syms, vec![RunLevel { run: 63, level: 7 }]);
         assert_eq!(rle_decode(&syms).unwrap(), b);
     }
@@ -155,13 +164,22 @@ mod tests {
         for (i, v) in b.iter_mut().enumerate() {
             *v = (i as i16 % 5) - 2; // includes zeros
         }
-        let syms = rle_encode(&b);
+        let syms = encode(&b);
+        assert_eq!(rle_decode(&syms).unwrap(), b);
+    }
+
+    #[test]
+    fn full_block_fills_all_64_symbols() {
+        let b = [1i16; 64];
+        let syms = encode(&b);
+        assert_eq!(syms, vec![RunLevel { run: 0, level: 1 }; 64]);
         assert_eq!(rle_decode(&syms).unwrap(), b);
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::encode;
     use super::*;
     use proptest::prelude::*;
 
@@ -171,7 +189,7 @@ mod proptests {
         fn rle_round_trip(samples in proptest::collection::vec(-300i16..=300, 64)) {
             let mut b = [0i16; 64];
             b.copy_from_slice(&samples);
-            let syms = rle_encode(&b);
+            let syms = encode(&b);
             prop_assert_eq!(rle_decode(&syms).unwrap(), b);
         }
 
@@ -181,7 +199,7 @@ mod proptests {
             let mut b = [0i16; 64];
             b.copy_from_slice(&samples);
             let nz = b.iter().filter(|&&v| v != 0).count();
-            prop_assert_eq!(rle_encode(&b).len(), nz);
+            prop_assert_eq!(encode(&b).len(), nz);
         }
     }
 }

@@ -342,6 +342,84 @@ impl StreamCache {
         done
     }
 
+    /// Exact fast path of a record run (`Shell::read_run`): `buf.len() /
+    /// rec` reads of `rec` bytes each, starting `offset` bytes into
+    /// `buffer`, each issued when the previous one completes, with the
+    /// read-triggered prefetches reaching at most `ahead` bytes past the
+    /// run. When every line of the run and of those `ahead` bytes is
+    /// resident and fetched, every read is a pure hit and every prefetch
+    /// finds its lines resident, so the run is one copy: one hit per line
+    /// chunk of each record, and the last record completes at the latest
+    /// `ready_at` of the lines read (or `now`). Returns that cycle, or
+    /// `None`, changing nothing, when any line is missing.
+    pub fn read_run_resident(
+        &mut self,
+        now: Cycle,
+        buffer: &CyclicBuffer,
+        offset: u32,
+        rec: u32,
+        buf: &mut [u8],
+        ahead: u32,
+    ) -> Option<Cycle> {
+        if self.lines.is_empty() || buf.is_empty() {
+            return None;
+        }
+        let len = buf.len() as u32;
+        let line_bytes = self.cfg.line_bytes;
+        let mut resident = true;
+        let mut done = now;
+        buffer.lines_touched(offset, len, line_bytes, |tag_addr| {
+            let (idx, tag) = self.line_of(tag_addr);
+            let line = &self.lines[idx];
+            resident &= line.tag == tag && line.fetched;
+            done = done.max(line.ready_at);
+        });
+        buffer.lines_touched(
+            buffer.wrap_add(offset, len),
+            ahead,
+            line_bytes,
+            |tag_addr| {
+                let (idx, tag) = self.line_of(tag_addr);
+                let line = &self.lines[idx];
+                resident &= line.tag == tag && line.fetched;
+            },
+        );
+        if !resident {
+            return None;
+        }
+        // One hit per line each record's segments touch (what `read`
+        // counts, in its one-line fast path and in its chunk walk alike).
+        let shift = self.line_shift;
+        let mut hits = 0u64;
+        for i in 0..len / rec {
+            let (a, b) = buffer.segments(buffer.wrap_add(offset, i * rec), rec);
+            for seg in std::iter::once(a).chain(b) {
+                let last = (seg.addr as u64 + seg.len as u64 - 1) >> shift;
+                hits += last - (seg.addr as u64 >> shift) + 1;
+            }
+        }
+        let (a, b) = buffer.segments(offset, len);
+        let mut buf_pos = 0usize;
+        for seg in std::iter::once(a).chain(b) {
+            let mut addr = seg.addr;
+            let mut remaining = seg.len;
+            while remaining > 0 {
+                let (idx, tag) = self.line_of(addr);
+                let in_line_off = addr - tag;
+                let chunk = remaining.min(line_bytes - in_line_off);
+                buf[buf_pos..buf_pos + chunk as usize].copy_from_slice(
+                    &self.lines[idx].data[in_line_off as usize..(in_line_off + chunk) as usize],
+                );
+                buf_pos += chunk as usize;
+                addr += chunk;
+                remaining -= chunk;
+            }
+        }
+        self.stats.hits += hits;
+        self.stats.stall_cycles += done - now;
+        Some(done)
+    }
+
     /// Make line `idx` hold `tag`; returns when its data is ready.
     /// `demand` distinguishes demand misses from prefetches in the stats.
     fn ensure_line(

@@ -580,44 +580,106 @@ impl Shell {
         mem: &mut MemSys,
     ) -> Cycle {
         let row_idx = self.row_of(task, port);
-        let row = &self.rows[row_idx.0 as usize];
+        self.assert_in_window("Read", row_idx, task, port, offset, buf.len());
+        self.read_record(row_idx, offset, buf, now, mem)
+    }
+
+    /// `Read` of a run of `buf.len() / rec` consecutive `rec`-byte records
+    /// at `offset`, charged exactly as that many [`Shell::read`] calls,
+    /// each issued at the cycle the previous one completed: the same
+    /// stalls, one cache hit per line chunk of each record, and each
+    /// record's read-triggered prefetch issued at that record's start
+    /// cycle. When the run and the bytes its prefetches reach are all
+    /// resident in the row cache, that is one bulk copy
+    /// ([`StreamCache::read_run_resident`]); otherwise each record takes
+    /// the body of [`Shell::read`]. Returns the last record's completion
+    /// cycle.
+    #[allow(clippy::too_many_arguments)]
+    pub fn read_run(
+        &mut self,
+        task: TaskIdx,
+        port: PortId,
+        offset: u32,
+        rec: usize,
+        buf: &mut [u8],
+        now: Cycle,
+        mem: &mut MemSys,
+    ) -> Cycle {
         assert!(
-            offset as u64 + buf.len() as u64 <= row.granted as u64,
-            "Read outside granted window: offset {} + len {} > granted {} (task {:?} port {})",
-            offset,
-            buf.len(),
-            row.granted,
-            task,
-            port
+            rec > 0 && buf.len().is_multiple_of(rec),
+            "record run of {} bytes is not a whole number of {rec}-byte records",
+            buf.len()
         );
+        let row_idx = self.row_of(task, port);
+        self.assert_in_window("Read", row_idx, task, port, offset, buf.len());
+        let row = &self.rows[row_idx.0 as usize];
+        let start = row.buffer.wrap_add(row.access_point, offset);
+        let cache = &mut self.caches[row_idx.0 as usize];
+        let ahead = read_prefetch_reach(row, cache.config(), offset + buf.len() as u32);
+        if let Some(done) = cache.read_run_resident(now, &row.buffer, start, rec as u32, buf, ahead)
+        {
+            self.stats.bytes_read += buf.len() as u64;
+            return done;
+        }
+        let mut now = now;
+        for (i, record) in buf.chunks_exact_mut(rec).enumerate() {
+            now = self.read_record(row_idx, offset + (i * rec) as u32, record, now, mem);
+        }
+        now
+    }
+
+    /// Panic unless `[offset, offset + len)` lies in the granted window of
+    /// `row_idx` (a coprocessor model bug, never a data condition).
+    #[inline]
+    fn assert_in_window(
+        &self,
+        op: &str,
+        row_idx: RowIdx,
+        task: TaskIdx,
+        port: PortId,
+        offset: u32,
+        len: usize,
+    ) {
+        let granted = self.rows[row_idx.0 as usize].granted;
+        assert!(
+            offset as u64 + len as u64 <= granted as u64,
+            "{op} outside granted window: offset {offset} + len {len} > granted {granted} \
+             (task {task:?} port {port})"
+        );
+    }
+
+    /// The body of [`Shell::read`] once the window is checked: the cache
+    /// read, then the read-triggered prefetch.
+    #[inline]
+    fn read_record(
+        &mut self,
+        row_idx: RowIdx,
+        offset: u32,
+        buf: &mut [u8],
+        now: Cycle,
+        mem: &mut MemSys,
+    ) -> Cycle {
+        let end_off = offset + buf.len() as u32;
+        let row = &self.rows[row_idx.0 as usize];
         let start = row.buffer.wrap_add(row.access_point, offset);
         let buffer = row.buffer;
-        let granted = row.granted;
-        let dir = row.dir;
         let cache = &mut self.caches[row_idx.0 as usize];
+        let reach = read_prefetch_reach(row, cache.config(), end_off);
         let done = cache.read(now, mem, &buffer, start, buf);
-        // Read-triggered prefetch (paper §5.2), bounded by the granted
-        // window: only committed producer data is fetched ahead.
-        if dir == PortDir::Consumer && cache.config().prefetch {
-            let end_off = offset + buf.len() as u32;
-            let remaining = granted.saturating_sub(end_off);
-            let depth = cache.config().prefetch_depth * cache.config().line_bytes;
-            let len = remaining.min(depth);
-            if len > 0 {
-                let from = buffer.wrap_add(row.access_point, end_off);
-                let pf_before = cache.stats.prefetches;
-                cache.prefetch(now, mem, &buffer, from, len);
-                let lines = cache.stats.prefetches - pf_before;
-                if let Some(tr) = &self.trace {
-                    if lines > 0 {
-                        tr.emit(
-                            now,
-                            TraceEventKind::CachePrefetch {
-                                row: row_idx.0 as u32,
-                                lines,
-                            },
-                        );
-                    }
+        if reach > 0 {
+            let from = buffer.wrap_add(row.access_point, end_off);
+            let pf_before = cache.stats.prefetches;
+            cache.prefetch(now, mem, &buffer, from, reach);
+            let lines = cache.stats.prefetches - pf_before;
+            if let Some(tr) = &self.trace {
+                if lines > 0 {
+                    tr.emit(
+                        now,
+                        TraceEventKind::CachePrefetch {
+                            row: row_idx.0 as u32,
+                            lines,
+                        },
+                    );
                 }
             }
         }
@@ -637,16 +699,8 @@ impl Shell {
         mem: &mut MemSys,
     ) -> Cycle {
         let row_idx = self.row_of(task, port);
+        self.assert_in_window("Write", row_idx, task, port, offset, data.len());
         let row = &self.rows[row_idx.0 as usize];
-        assert!(
-            offset as u64 + data.len() as u64 <= row.granted as u64,
-            "Write outside granted window: offset {} + len {} > granted {} (task {:?} port {})",
-            offset,
-            data.len(),
-            row.granted,
-            task,
-            port
-        );
         let start = row.buffer.wrap_add(row.access_point, offset);
         let buffer = row.buffer;
         let done = self.caches[row_idx.0 as usize].write(now, mem, &buffer, start, data);
@@ -904,6 +958,21 @@ impl Shell {
         self.disable_invalidate = r.bool()?;
         self.disable_flush = r.bool()?;
         Ok(())
+    }
+}
+
+/// How many bytes past window offset `end_off` a read of `row` ending
+/// there prefetches (paper §5.2): up to `prefetch_depth` lines on a
+/// prefetching consumer row, never past the granted window (only
+/// committed producer data is fetched ahead), else none. The one rule
+/// [`Shell::read`] and the fast path of [`Shell::read_run`] share.
+#[inline]
+fn read_prefetch_reach(row: &StreamRow, cfg: &CacheConfig, end_off: u32) -> u32 {
+    if row.dir == PortDir::Consumer && cfg.prefetch {
+        let depth = cfg.prefetch_depth * cfg.line_bytes;
+        row.granted.saturating_sub(end_off).min(depth)
+    } else {
+        0
     }
 }
 

@@ -23,6 +23,7 @@ fn section6_silicon_envelope() {
 #[test]
 fn section2_load_irregularity_reaches_order_10x() {
     use eclipse::media::bits::BitReader;
+    use eclipse::media::scan::RunLevel;
     use eclipse::media::stream::{
         peek_marker, read_mb_header, read_picture_header, read_sequence_header, MARKER_END,
     };
@@ -39,6 +40,7 @@ fn section2_load_irregularity_reaches_order_10x() {
     let seq = read_sequence_header(&mut r).unwrap();
     let mbs = (seq.width as u32 / 16) * (seq.height as u32 / 16);
     let (mut max_bits, mut total_bits, mut count) = (0u64, 0u64, 0u64);
+    let mut symbols = [RunLevel::default(); 64];
     while peek_marker(&mut r).unwrap() != MARKER_END {
         let _ = read_picture_header(&mut r).unwrap();
         for _ in 0..mbs {
@@ -52,7 +54,7 @@ fn section2_load_irregularity_reaches_order_10x() {
                 if intra {
                     let _ = get_sev(&mut r).unwrap();
                 }
-                let _ = get_block(&mut r).unwrap();
+                let _ = get_block(&mut r, &mut symbols).unwrap();
             }
             let bits = (r.bit_pos() - start) as u64;
             max_bits = max_bits.max(bits);
