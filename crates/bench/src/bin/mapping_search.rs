@@ -6,15 +6,15 @@
 //! — running a bundle of independent source → work → sink pipelines.
 //! With a pool, placement is a real decision: the historical first-fit
 //! pass piles every task of a stage onto the first supporting worker,
-//! while the topology-aware pass reads the fabric's
-//! [`FabricTopology`](eclipse_mem::FabricTopology) descriptor and
-//! balances load and (on the mesh) hop distance between communicating
-//! tasks.
+//! while the topology-aware pass balances load and, on a mesh (read off
+//! the fabric's [`FabricTopology`](eclipse_mem::FabricTopology)
+//! descriptor), breaks ties by hop distance between communicating tasks.
 //!
 //! Each (topology × placement) cell reports run cycles and transport
 //! energy per packet from the Section-6 coefficient decomposition
 //! (`eclipse_core::model`): bank access + wire transport (global-bus
-//! pJ/B on flat fabrics, per-link-hop pJ/B on the mesh) + sync routing.
+//! pJ/B on flat fabrics, per-link-hop pJ/B on the mesh) + `putspace`
+//! messages.
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin mapping_search [--quick]`
 
@@ -26,7 +26,6 @@ use eclipse_core::{
 };
 use eclipse_kpn::GraphBuilder;
 use eclipse_mem::{BusConfig, DataFabricConfig, MeshDataFabric};
-use eclipse_shell::SyncFabricConfig;
 use std::fmt::Write as _;
 
 /// Pipelines in the bundle (each: source → work → sink).
@@ -39,12 +38,11 @@ const SINK_POOL: usize = 2;
 struct Cell {
     topo_label: &'static str,
     data: DataFabricConfig,
-    sync: SyncFabricConfig,
     placement_label: &'static str,
     first_fit: bool,
 }
 
-fn topologies(cfg: &EclipseConfig) -> Vec<(&'static str, DataFabricConfig, SyncFabricConfig)> {
+fn topologies(cfg: &EclipseConfig) -> Vec<(&'static str, DataFabricConfig)> {
     let bank = BusConfig {
         width_bytes: cfg.read_bus.width_bytes,
         latency: cfg.read_bus.latency,
@@ -65,16 +63,6 @@ fn topologies(cfg: &EclipseConfig) -> Vec<(&'static str, DataFabricConfig, SyncF
                 read: cfg.read_bus,
                 write: cfg.write_bus,
             },
-            SyncFabricConfig::Direct,
-        ),
-        (
-            "4-bank",
-            DataFabricConfig::MultiBank {
-                banks: 4,
-                interleave_bytes: 64,
-                bank,
-            },
-            SyncFabricConfig::Direct,
         ),
         (
             "private g=2",
@@ -82,33 +70,20 @@ fn topologies(cfg: &EclipseConfig) -> Vec<(&'static str, DataFabricConfig, SyncF
                 grant_cycles: 2,
                 port: bank,
             },
-            SyncFabricConfig::Direct,
         ),
-        ("mesh 2x2", mesh(2, 2), SyncFabricConfig::Direct),
-        (
-            "mesh 4x2 + mesh-sync",
-            mesh(4, 2),
-            SyncFabricConfig::Mesh {
-                cols: 4,
-                rows: 2,
-                hop_latency: 2,
-                link_occupancy: 1,
-                piggyback_window: 4,
-            },
-        ),
+        ("mesh 2x2", mesh(2, 2)),
+        ("mesh 4x2", mesh(4, 2)),
     ]
 }
 
 fn build_pool_system(
     cfg: EclipseConfig,
     data: DataFabricConfig,
-    sync: SyncFabricConfig,
     placement: Box<dyn Placement>,
     packets: u32,
 ) -> eclipse_core::EclipseSystem {
     let mut b = SystemBuilder::new(cfg);
     b.with_data_fabric(data);
-    b.with_sync_fabric(sync);
     b.with_placement(placement);
     // Worker pools: every worker of a stage advertises the same
     // function, so the placement pass decides which one each task uses.
@@ -162,12 +137,11 @@ fn main() {
     let cfg = EclipseConfig::default();
 
     let mut cells = Vec::new();
-    for (topo_label, data, sync) in topologies(&cfg) {
+    for (topo_label, data) in topologies(&cfg) {
         for (placement_label, first_fit) in [("first-fit", true), ("topology-aware", false)] {
             cells.push(Cell {
                 topo_label,
                 data,
-                sync,
                 placement_label,
                 first_fit,
             });
@@ -178,9 +152,9 @@ fn main() {
         let placement: Box<dyn Placement> = if c.first_fit {
             Box::new(FirstFitPlacement)
         } else {
-            Box::new(TopologyAwarePlacement::default())
+            Box::new(TopologyAwarePlacement)
         };
-        let mut sys = build_pool_system(cfg, c.data, c.sync, placement, packets);
+        let mut sys = build_pool_system(cfg, c.data, placement, packets);
         let summary = sys.run(20_000_000_000);
         assert_eq!(
             summary.outcome,
@@ -199,8 +173,7 @@ fn main() {
             sram_bytes,
             byte_hops,
             mesh,
-            sync_messages: summary.sync_fabric.messages,
-            sync_hops: summary.sync_fabric.hops,
+            sync_messages: summary.sync_messages,
         };
         // One packet = one macroblock-equivalent work unit; count the
         // packets the sinks actually consumed.

@@ -192,7 +192,6 @@ pub fn open_gate_system(packets: u32, compute: u64) -> eclipse_core::EclipseSyst
     use eclipse_core::{EclipseConfig, SystemBuilder};
     use eclipse_kpn::GraphBuilder;
     use eclipse_mem::{BusConfig, DataFabricConfig};
-    use eclipse_shell::SyncFabricConfig;
 
     let cfg = EclipseConfig::default();
     let mut b = SystemBuilder::new(cfg);
@@ -204,7 +203,6 @@ pub fn open_gate_system(packets: u32, compute: u64) -> eclipse_core::EclipseSyst
             cycles_per_beat: cfg.read_bus.cycles_per_beat,
         },
     });
-    b.with_sync_fabric(SyncFabricConfig::Direct);
     for p in 0..2 {
         b.add_coprocessor(Box::new(PipeCoproc::source(
             format!("src{p}"),

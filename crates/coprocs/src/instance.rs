@@ -15,7 +15,6 @@ use eclipse_core::{
 use eclipse_media::frame::Frame;
 use eclipse_media::stream::{read_sequence_header, GopConfig, SequenceHeader};
 use eclipse_mem::DataFabricConfig;
-use eclipse_shell::SyncFabricConfig;
 use eclipse_sim::Cycle;
 
 use crate::apps::{
@@ -76,7 +75,6 @@ pub struct MpegBuilder {
     bitstream_loads: Vec<(u32, Vec<u8>)>,
     dram_next: u32,
     data_fabric: Option<DataFabricConfig>,
-    sync_fabric: Option<SyncFabricConfig>,
     placement: Option<Box<dyn Placement>>,
 }
 
@@ -97,7 +95,6 @@ impl MpegBuilder {
             bitstream_loads: Vec::new(),
             dram_next: 0,
             data_fabric: None,
-            sync_fabric: None,
             placement: None,
         }
     }
@@ -106,13 +103,6 @@ impl MpegBuilder {
     /// instance's shared read/write bus pair).
     pub fn with_data_fabric(&mut self, fabric: DataFabricConfig) -> &mut Self {
         self.data_fabric = Some(fabric);
-        self
-    }
-
-    /// Select the `putspace` synchronization network (default: the flat
-    /// direct network).
-    pub fn with_sync_fabric(&mut self, fabric: SyncFabricConfig) -> &mut Self {
-        self.sync_fabric = Some(fabric);
         self
     }
 
@@ -332,9 +322,6 @@ impl MpegBuilder {
         let mut b = SystemBuilder::new(self.cfg);
         if let Some(f) = self.data_fabric {
             b.with_data_fabric(f);
-        }
-        if let Some(f) = self.sync_fabric {
-            b.with_sync_fabric(f);
         }
         if let Some(p) = self.placement {
             b.with_placement(p);

@@ -131,10 +131,6 @@ struct VldTask {
     fetched: Vec<u8>,
     /// Port mode: the demux sent its terminator; no more bytes will come.
     source_done: bool,
-    /// Port ids of the two outputs (shifted by one in port mode, where
-    /// input port 0 carries the bitstream).
-    port_token: PortId,
-    port_mv: PortId,
     /// Committed parse position in bits.
     bit_pos: usize,
     seq: Option<SequenceHeader>,
@@ -184,8 +180,6 @@ impl VldTask {
         self.cfg.source.save_state(w);
         w.blob(&self.fetched);
         w.bool(self.source_done);
-        w.u8(self.port_token);
-        w.u8(self.port_mv);
         w.usize(self.bit_pos);
         snap::save_seq_opt(w, &self.seq);
         w.u8(match self.state {
@@ -215,8 +209,6 @@ impl VldTask {
         };
         let fetched = r.blob()?;
         let source_done = r.bool()?;
-        let port_token = r.u8()?;
-        let port_mv = r.u8()?;
         let bit_pos = r.usize()?;
         let seq = snap::load_seq_opt(r)?;
         let state = match r.u8()? {
@@ -233,13 +225,9 @@ impl VldTask {
         for v in &mut dc_pred {
             *v = r.i16()?;
         }
-        // What `step` relies on: the outputs follow the source's input
-        // port, the parse position lies in the fetched bytes, and a
-        // macroblock state has a picture with macroblocks left in it.
-        let base = matches!(cfg.source, VldSource::Port) as PortId;
-        if (port_token, port_mv) != (base, base + 1) {
-            return Err(SnapError::Corrupt("vld output ports"));
-        }
+        // What `step` relies on: the parse position lies in the fetched
+        // bytes, and a macroblock state has a picture with macroblocks
+        // left in it.
         if bit_pos > fetched.len() * 8 {
             return Err(SnapError::Corrupt("vld bit position"));
         }
@@ -252,8 +240,6 @@ impl VldTask {
             cfg,
             fetched,
             source_done,
-            port_token,
-            port_mv,
             bit_pos,
             seq,
             state,
@@ -411,15 +397,12 @@ impl Coprocessor for VldCoproc {
             "VLD '{}' port shape mismatch",
             decl.name
         );
-        let base = port_input as PortId;
         self.tasks.insert(
             task,
             VldTask {
                 cfg,
                 fetched: Vec::new(),
                 source_done: false,
-                port_token: base,
-                port_mv: base + 1,
                 bit_pos: 0,
                 seq: None,
                 state: VldState::Seq,
@@ -503,7 +486,10 @@ impl Coprocessor for VldCoproc {
     fn step(&mut self, task: TaskIdx, _info: u32, ctx: &mut StepCtx<'_>) -> StepResult {
         let cost = self.cost;
         let t = self.tasks.get_mut(&task).expect("unconfigured VLD task");
-        let (port_token, port_mv) = (t.port_token, t.port_mv);
+        // Outputs follow the inputs: in port mode input port 0 carries
+        // the bitstream, shifting both outputs by one.
+        let port_token = matches!(t.cfg.source, VldSource::Port) as PortId;
+        let port_mv = port_token + 1;
         let [tok_buf, mv_buf] = &mut self.stage;
         match t.state {
             VldState::Seq => {
@@ -815,7 +801,6 @@ mod tests {
 
     /// A task mid-picture: the state every check below mutates.
     fn mid_picture(source: VldSource) -> VldTask {
-        let base = matches!(source, VldSource::Port) as PortId;
         let pic = PicRec {
             ptype: PictureType::P,
             qscale: 8,
@@ -827,8 +812,6 @@ mod tests {
             cfg: VldTaskConfig { source },
             fetched: vec![0; 64],
             source_done: false,
-            port_token: base,
-            port_mv: base + 1,
             bit_pos: 100,
             seq: None,
             state: VldState::Mb,
@@ -856,18 +839,10 @@ mod tests {
     fn restore_rejects_states_step_cannot_run() {
         for source in [VldSource::Dram { addr: 0, len: 64 }, VldSource::Port] {
             assert!(reload(&mid_picture(source)).is_ok());
-            let corrupt: [fn(&mut VldTask); 8] = [
+            let corrupt: [fn(&mut VldTask); 4] = [
                 |t| t.cur_pic = None,
                 |t| t.mb_left = 0,
                 |t| t.mb_left = 100,
-                |t| t.port_token += 1,
-                |t| t.port_mv += 1,
-                |t| (t.port_token, t.port_mv) = (t.port_mv, t.port_token),
-                // The other source's port layout.
-                |t| {
-                    let base = 1 - t.port_token;
-                    (t.port_token, t.port_mv) = (base, base + 1);
-                },
                 |t| t.bit_pos = 64 * 8 + 1,
             ];
             for (i, mutate) in corrupt.iter().enumerate() {

@@ -12,7 +12,6 @@ use eclipse_media::source::{SourceConfig, SyntheticSource};
 use eclipse_media::stream::GopConfig;
 use eclipse_media::{audio, Decoder};
 use eclipse_mem::{BusConfig, DataFabricConfig};
-use eclipse_shell::SyncFabricConfig;
 use eclipse_sim::FaultPlan;
 
 fn encode_test_stream(
@@ -133,10 +132,9 @@ fn two_fresh_mpeg_builds_checkpoint_identically() {
     assert_eq!(a.system.sys.state_hash(), b.system.sys.state_hash());
 }
 
-/// Every data-fabric × sync-fabric combination must checkpoint
-/// bit-exactly *under load* — at a cycle where the fabric arbiters hold
-/// live cursors (multi-bank round-robin positions, private-port and mesh
-/// in-flight grants, bus busy-until horizons), syncs are in flight, and
+/// Every data fabric must checkpoint bit-exactly *under load* — at a
+/// cycle where the fabric arbiters hold live cursors (private-port and
+/// mesh in-flight grants, bus busy-until horizons), syncs are in flight, and
 /// timing faults (sync delays, bus retries, coprocessor stalls) are
 /// armed, so the fault lanes' RNG cursors travel in the checkpoint too.
 /// A restore into a fresh build must replay to the same state-hash tail
@@ -151,28 +149,12 @@ fn checkpoint_under_load_across_fabric_combos() {
         latency: cfg.read_bus.latency,
         cycles_per_beat: cfg.read_bus.cycles_per_beat,
     };
-    let data_arms: [(&str, DataFabricConfig); 4] = [
+    let combos: [(&str, DataFabricConfig); 3] = [
         (
             "shared-bus",
             DataFabricConfig::SharedBus {
                 read: cfg.read_bus,
                 write: cfg.write_bus,
-            },
-        ),
-        (
-            "2-bank",
-            DataFabricConfig::MultiBank {
-                banks: 2,
-                interleave_bytes: 64,
-                bank,
-            },
-        ),
-        (
-            "4-bank",
-            DataFabricConfig::MultiBank {
-                banks: 4,
-                interleave_bytes: 64,
-                bank,
             },
         ),
         (
@@ -182,35 +164,18 @@ fn checkpoint_under_load_across_fabric_combos() {
                 port: bank,
             },
         ),
+        (
+            "mesh",
+            DataFabricConfig::Mesh {
+                cols: 2,
+                rows: 2,
+                interleave_bytes: 64,
+                link_grant: 2,
+                hop_cycles: 1,
+                port: bank,
+            },
+        ),
     ];
-    let ring = SyncFabricConfig::Ring {
-        hop_latency: 2,
-        link_occupancy: 1,
-    };
-    let mut combos = Vec::new();
-    for (dl, data) in data_arms {
-        for (sl, sync) in [("direct", SyncFabricConfig::Direct), ("ring", ring)] {
-            combos.push((format!("{dl}+{sl}"), data, sync));
-        }
-    }
-    let mesh = DataFabricConfig::Mesh {
-        cols: 2,
-        rows: 2,
-        interleave_bytes: 64,
-        link_grant: 2,
-        hop_cycles: 1,
-        port: bank,
-    };
-    let mesh_sync = SyncFabricConfig::Mesh {
-        cols: 2,
-        rows: 2,
-        hop_latency: 2,
-        link_occupancy: 1,
-        piggyback_window: 4,
-    };
-    combos.push(("mesh+direct".into(), mesh, SyncFabricConfig::Direct));
-    combos.push(("mesh+ring".into(), mesh, ring));
-    combos.push(("mesh+mesh-sync".into(), mesh, mesh_sync));
     // Timing faults only: none of these can wedge the run.
     let faults = FaultPlan {
         seed: 7,
@@ -223,10 +188,10 @@ fn checkpoint_under_load_across_fabric_combos() {
         ..FaultPlan::default()
     };
     const MAX_CYCLES: u64 = 200_000_000;
-    for (label, data, sync) in combos {
+    for (label, data) in combos {
         let mk = || {
             let mut b = MpegBuilder::new(cfg, InstanceCosts::default());
-            b.with_data_fabric(data).with_sync_fabric(sync);
+            b.with_data_fabric(data);
             b.add_decode("dec0", bs.clone(), DecodeAppConfig::default());
             let mut sys = b.build();
             sys.sys.inject_faults(faults.clone());
@@ -317,18 +282,15 @@ fn checkpoint_under_load_across_fabric_combos() {
     }
 }
 
-/// The mesh data×sync backends join the checkpoint-under-load contract
-/// — with the save point *proven* to land mid-route: the test scans for
-/// a cycle where the mesh data fabric still holds an injection-port
-/// grant beyond "now" (a chunk in flight on its XY route) and, under
-/// the mesh sync network, a link reservation is still pending (a
-/// `putspace` flit mid-route). Restoring into a fresh build must
-/// reproduce the hash, re-save byte-identically, and replay to the same
-/// frames.
+/// The mesh data fabric joins the checkpoint-under-load contract —
+/// with the save point *proven* to land mid-route: the test scans for a
+/// cycle where the mesh still holds an injection-port grant beyond "now"
+/// (a chunk in flight on its XY route). Restoring into a fresh build
+/// must reproduce the hash, re-save byte-identically, and replay to the
+/// same frames.
 #[test]
 fn mesh_checkpoint_restores_in_flight_routes() {
     use eclipse_mem::MeshDataFabric;
-    use eclipse_shell::MeshSyncFabric;
 
     let bs = encode_test_stream(48, 32, 3, GopConfig { n: 3, m: 1 }, 26);
     let cfg = EclipseConfig::default();
@@ -345,116 +307,87 @@ fn mesh_checkpoint_restores_in_flight_routes() {
         hop_cycles: 1,
         port: bank,
     };
-    // No piggy-backing and a long link occupancy, so every routed sync
-    // reserves its links for a scan-visible window (piggy-backed flits
-    // reserve nothing; their restore path is pinned by the shell unit
-    // tests).
-    let sync_arms: [(&str, SyncFabricConfig); 2] = [
-        ("direct", SyncFabricConfig::Direct),
-        (
-            "mesh-sync",
-            SyncFabricConfig::Mesh {
-                cols: 2,
-                rows: 2,
-                hop_latency: 2,
-                link_occupancy: 6,
-                piggyback_window: 0,
-            },
-        ),
-    ];
-    for (sl, sync) in sync_arms {
-        let label = format!("mesh+{sl}");
-        let mk = || {
-            let mut b = MpegBuilder::new(cfg, InstanceCosts::default());
-            b.with_data_fabric(mesh).with_sync_fabric(sync);
-            b.add_decode("dec0", bs.clone(), DecodeAppConfig::default());
-            b.build()
-        };
-        let total = {
-            let mut m = mk();
-            let s = m.run(200_000_000);
-            assert_eq!(s.outcome, RunOutcome::AllFinished, "{label}");
-            s.cycles
-        };
+    let label = "mesh";
+    let mk = || {
+        let mut b = MpegBuilder::new(cfg, InstanceCosts::default());
+        b.with_data_fabric(mesh);
+        b.add_decode("dec0", bs.clone(), DecodeAppConfig::default());
+        b.build()
+    };
+    let total = {
+        let mut m = mk();
+        let s = m.run(200_000_000);
+        assert_eq!(s.outcome, RunOutcome::AllFinished, "{label}");
+        s.cycles
+    };
 
-        // Scan mid-decode for a stop cycle with routes genuinely in
-        // flight on the plane(s) under test. Deterministic: the same
-        // stream always yields the same first hit.
-        let mut original = mk();
-        let mut stop = 2 * total / 5;
-        let found = loop {
-            if stop > 4 * total / 5 {
-                break false;
-            }
-            assert!(
-                original.sys.run_until(stop).is_none(),
-                "{label}: decode must still be mid-flight while scanning"
-            );
-            let now = original.sys.now();
-            let data_busy = original
-                .sys
-                .data_fabric()
-                .as_any()
-                .downcast_ref::<MeshDataFabric>()
-                .expect("mesh data fabric selected")
-                .in_flight(now);
-            let sync_busy = match original
-                .sys
-                .sync_fabric()
-                .as_any()
-                .downcast_ref::<MeshSyncFabric>()
-            {
-                Some(m) => m.links_in_flight(now),
-                None => true, // direct sync holds no route state
-            };
-            if data_busy && sync_busy {
-                break true;
-            }
-            stop += 101;
-        };
-        assert!(found, "{label}: no save point with in-flight routes found");
-
-        let hash_at_save = original.sys.state_hash();
-        let bytes = original.sys.save();
-
-        let mut restored = mk();
-        restored.sys.restore(&bytes).unwrap();
-        assert_eq!(
-            restored.sys.state_hash(),
-            hash_at_save,
-            "{label}: restore does not reproduce the checkpoint hash"
+    // Scan mid-decode for a stop cycle with a route genuinely in flight.
+    // Deterministic: the same stream always yields the same first hit.
+    let mut original = mk();
+    let mut stop = 2 * total / 5;
+    let found = loop {
+        if stop > 4 * total / 5 {
+            break false;
+        }
+        assert!(
+            original.sys.run_until(stop).is_none(),
+            "{label}: decode must still be mid-flight while scanning"
         );
-        assert_eq!(
-            restored.sys.save(),
-            bytes,
-            "{label}: save→restore→save is not byte-stable"
-        );
+        let now = original.sys.now();
+        if original
+            .sys
+            .data_fabric()
+            .as_any()
+            .downcast_ref::<MeshDataFabric>()
+            .expect("mesh data fabric selected")
+            .in_flight(now)
+        {
+            break true;
+        }
+        stop += 101;
+    };
+    assert!(found, "{label}: no save point with in-flight routes found");
 
-        let hashes = |sys: &mut eclipse_coprocs::instance::MpegSystem| {
-            let mut out = Vec::new();
-            let mut at = sys.sys.now();
-            loop {
-                at += total / 16;
-                match sys.sys.run_until(at) {
-                    None => out.push(sys.sys.state_hash()),
-                    Some(outcome) => {
-                        assert_eq!(outcome, RunOutcome::AllFinished, "{label}");
-                        break;
-                    }
+    let hash_at_save = original.sys.state_hash();
+    let bytes = original.sys.save();
+
+    let mut restored = mk();
+    restored.sys.restore(&bytes).unwrap();
+    assert_eq!(
+        restored.sys.state_hash(),
+        hash_at_save,
+        "{label}: restore does not reproduce the checkpoint hash"
+    );
+    assert_eq!(
+        restored.sys.save(),
+        bytes,
+        "{label}: save→restore→save is not byte-stable"
+    );
+
+    let hashes = |sys: &mut eclipse_coprocs::instance::MpegSystem| {
+        let mut out = Vec::new();
+        let mut at = sys.sys.now();
+        loop {
+            at += total / 16;
+            match sys.sys.run_until(at) {
+                None => out.push(sys.sys.state_hash()),
+                Some(outcome) => {
+                    assert_eq!(outcome, RunOutcome::AllFinished, "{label}");
+                    break;
                 }
             }
-            out.push(sys.sys.state_hash());
-            out
-        };
-        let tail_a = hashes(&mut original);
-        let tail_b = hashes(&mut restored);
-        assert_eq!(tail_a, tail_b, "{label}: state-hash tails diverged");
-        assert_eq!(
-            original.display_frames("dec0"),
-            restored.display_frames("dec0"),
-            "{label}: restored decode produced different frames"
-        );
-    }
+        }
+        out.push(sys.sys.state_hash());
+        out
+    };
+    let tail_a = hashes(&mut original);
+    let tail_b = hashes(&mut restored);
+    assert_eq!(tail_a, tail_b, "{label}: state-hash tails diverged");
+    assert_eq!(
+        original.display_frames("dec0"),
+        restored.display_frames("dec0"),
+        "{label}: restored decode produced different frames"
+    );
 }
 
 #[test]

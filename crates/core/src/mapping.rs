@@ -20,9 +20,10 @@
 //!
 //! Step (1) — *placement* — is a pluggable pass behind the [`Placement`]
 //! trait. [`FirstFitPlacement`] reproduces the historical first-fit
-//! choice byte-for-byte (the default); [`TopologyAwarePlacement`] reads
-//! the active data fabric's [`FabricTopology`] descriptor and balances
-//! shell load against mesh hop distance between communicating tasks.
+//! choice byte-for-byte (the default); [`TopologyAwarePlacement`]
+//! balances shell load, breaking ties by mesh hop distance between
+//! communicating tasks on the active data fabric's [`FabricTopology`].
+//! Every stream buffer is aligned to [`BUFFER_ALIGN`].
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -155,24 +156,16 @@ impl PlacementCtx<'_> {
     }
 }
 
-/// A placement pass: decides which shell every task of a graph runs on
-/// (and, optionally, how stream buffers align in SRAM). Pure — reads
-/// the [`PlacementCtx`], returns one shell index per task in graph
-/// order. Explicit assignments in the context always win; a pass only
-/// chooses for the unpinned tasks.
+/// A placement pass: decides which shell every task of a graph runs on.
+/// Pure — reads the [`PlacementCtx`], returns one shell index per task
+/// in graph order. Explicit assignments in the context always win; a
+/// pass only chooses for the unpinned tasks.
 pub trait Placement: std::fmt::Debug + Send + Sync {
     /// Short name for reports ("first-fit", "topology-aware").
     fn kind(&self) -> &'static str;
 
     /// One shell index per task, in graph task order.
     fn assign(&self, ctx: &PlacementCtx<'_>) -> Result<Vec<usize>, MapError>;
-
-    /// SRAM alignment for stream `index`'s buffer. The default is one
-    /// bus word ([`BUFFER_ALIGN`]); topology-aware passes may widen it
-    /// to the fabric's interleave stripe.
-    fn buffer_align(&self, _index: usize, _topology: &FabricTopology) -> u32 {
-        BUFFER_ALIGN
-    }
 }
 
 /// The historical default: every unpinned task goes to the *first*
@@ -206,38 +199,29 @@ impl Placement for FirstFitPlacement {
     }
 }
 
-/// A fabric-aware greedy placer: for each task (in graph order) it
-/// scores every supporting shell as
+/// A load-balancing greedy placer with a mesh hop tie-breaker: for each
+/// task (in graph order) it scores every supporting shell as
 ///
 /// ```text
-/// cost(s) = load_weight · tasks_on(s)
-///         + hop_weight  · Σ distance(node(s), node(partner))
+/// cost(s) = LOAD_WEIGHT · tasks_on(s)
+///         + Σ distance(node(s), node(partner))
 /// ```
 ///
 /// where the sum ranges over the already-placed tasks sharing a stream
 /// with this one, and `node`/`distance` come from the fabric's
-/// [`FabricTopology`] (distance is 0 on non-mesh fabrics, collapsing
-/// the pass to load balancing). Lowest cost wins; ties break to the
-/// lowest shell index, keeping the pass fully deterministic. Buffers
-/// are aligned to the interleave stripe on banked fabrics so transfers
-/// split into the fewest possible bank chunks.
-#[derive(Debug, Clone, Copy)]
-pub struct TopologyAwarePlacement {
-    /// Cost per task already resident on a candidate shell.
-    pub load_weight: u64,
-    /// Cost per mesh hop between a candidate shell's bank node and each
-    /// already-placed communication partner's node.
-    pub hop_weight: u64,
-}
+/// [`FabricTopology`] (distance is 0 on flat fabrics, collapsing the
+/// pass to load balancing). Lowest cost wins; ties break to the lowest
+/// shell index, keeping the pass fully deterministic.
+///
+/// Load balancing is where the measured win comes from: it is just as
+/// large on the distance-free shared bus. The hop term earns its place
+/// on the 4x2 mesh only (−3.3% cycles; DESIGN.md §17.2).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TopologyAwarePlacement;
 
-impl Default for TopologyAwarePlacement {
-    fn default() -> Self {
-        TopologyAwarePlacement {
-            load_weight: 4,
-            hop_weight: 1,
-        }
-    }
-}
+/// Cost per task already resident on a candidate shell, in mesh hops:
+/// one more resident task outweighs up to three extra hops.
+const LOAD_WEIGHT: u64 = 4;
 
 impl Placement for TopologyAwarePlacement {
     fn kind(&self) -> &'static str {
@@ -265,12 +249,12 @@ impl Placement for TopologyAwarePlacement {
                             continue;
                         }
                         let node = ctx.topology.requester_node(s);
-                        let mut cost = self.load_weight * load[s];
+                        let mut cost = LOAD_WEIGHT * load[s];
                         for &sid in t.inputs.iter().chain(t.outputs.iter()) {
                             for &other in &touch[&sid] {
                                 if other < me {
                                     let theirs = ctx.topology.requester_node(assign[other]);
-                                    cost += self.hop_weight * ctx.topology.distance(node, theirs);
+                                    cost += ctx.topology.distance(node, theirs);
                                 }
                             }
                         }
@@ -289,17 +273,6 @@ impl Placement for TopologyAwarePlacement {
             assign.push(shell);
         }
         Ok(assign)
-    }
-
-    /// On banked fabrics, align buffers to the interleave stripe so a
-    /// word-sized access never straddles a bank boundary (fewer chunks
-    /// → fewer link traversals on a mesh).
-    fn buffer_align(&self, _index: usize, topology: &FabricTopology) -> u32 {
-        if topology.banks > 1 && topology.interleave_bytes > BUFFER_ALIGN {
-            topology.interleave_bytes
-        } else {
-            BUFFER_ALIGN
-        }
     }
 }
 
@@ -325,7 +298,7 @@ pub(crate) struct PlannedTask {
 /// Compute the complete table-programming plan for `graph`.
 ///
 /// `assign[task] = shell index` for every task (resolved by the builder);
-/// `alloc` carves the stream buffers; `next_slot(s)` predicts the row
+/// `alloc(size)` carves the stream buffers; `next_slot(s)` predicts the row
 /// index the next stream-row add on shell `s` will return — successive
 /// calls must return successive slots (the builder closes over per-shell
 /// append counters; the live path also replays retired-slot free lists,
@@ -335,13 +308,11 @@ pub(crate) fn plan_rows(
     assign: &[usize],
     n_shells: usize,
     mut next_slot: impl FnMut(usize) -> RowIdx,
-    mut alloc: impl FnMut(usize, u32) -> Result<CyclicBuffer, AllocError>,
+    mut alloc: impl FnMut(u32) -> Result<CyclicBuffer, AllocError>,
 ) -> Result<RowPlan, MapError> {
-    // Allocate buffers per stream (the callback also receives the
-    // stream index so placement-specific alignment can apply).
     let mut buffers = Vec::with_capacity(graph.streams().len());
-    for (sid, s) in graph.stream_ids() {
-        let buf = alloc(sid.0 as usize, s.buffer_size).map_err(|cause| MapError::BufferAlloc {
+    for s in graph.streams() {
+        let buf = alloc(s.buffer_size).map_err(|cause| MapError::BufferAlloc {
             stream: s.name.clone(),
             cause,
         })?;
@@ -448,7 +419,7 @@ pub(crate) fn task_config(
 mod tests {
     use super::*;
     use eclipse_kpn::GraphBuilder;
-    use eclipse_mem::BufferAllocator;
+    use eclipse_mem::{BufferAllocator, MeshGeometry};
 
     /// Test stand-in for the builder's append counters: successive slots
     /// per shell starting from `base`.
@@ -476,7 +447,7 @@ mod tests {
         let g = simple_graph();
         let mut alloc = BufferAllocator::new(0, 4096);
         // src -> shell 0, mid -> shell 1, dst -> shell 0 (multi-tasking).
-        let plan = plan_rows(&g, &[0, 1, 0], 2, bump(&[0, 0]), |_, size| {
+        let plan = plan_rows(&g, &[0, 1, 0], 2, bump(&[0, 0]), |size| {
             alloc.alloc(size, BUFFER_ALIGN)
         })
         .unwrap();
@@ -516,7 +487,7 @@ mod tests {
     fn row_base_offsets_multi_app_rows() {
         let g = simple_graph();
         let mut alloc = BufferAllocator::new(0, 4096);
-        let plan = plan_rows(&g, &[0, 0, 0], 1, bump(&[5]), |_, size| {
+        let plan = plan_rows(&g, &[0, 0, 0], 1, bump(&[5]), |size| {
             alloc.alloc(size, BUFFER_ALIGN)
         })
         .unwrap();
@@ -533,7 +504,7 @@ mod tests {
         g.task("c2", "collect", 0, &[s], &[]);
         let g = g.build().unwrap();
         let mut alloc = BufferAllocator::new(0, 4096);
-        let plan = plan_rows(&g, &[0, 1, 1], 2, bump(&[0, 0]), |_, size| {
+        let plan = plan_rows(&g, &[0, 1, 1], 2, bump(&[0, 0]), |size| {
             alloc.alloc(size, BUFFER_ALIGN)
         })
         .unwrap();
@@ -545,7 +516,7 @@ mod tests {
     fn alloc_failure_is_reported_with_stream_name() {
         let g = simple_graph();
         let mut alloc = BufferAllocator::new(0, 100); // too small
-        let err = plan_rows(&g, &[0, 0, 0], 1, bump(&[0]), |_, size| {
+        let err = plan_rows(&g, &[0, 0, 0], 1, bump(&[0]), |size| {
             alloc.alloc(size, BUFFER_ALIGN)
         })
         .unwrap_err();
@@ -642,13 +613,7 @@ mod tests {
         let g = shared_fn_chain();
         let cp = stubs(3);
         let none = HashMap::new();
-        let c = ctx(
-            &g,
-            &cp,
-            &none,
-            FabricTopology::uniform("shared-bus"),
-            &[0; 3],
-        );
+        let c = ctx(&g, &cp, &none, FabricTopology::default(), &[0; 3]);
         assert_eq!(FirstFitPlacement.assign(&c).unwrap(), vec![0, 0, 0]);
     }
 
@@ -659,24 +624,12 @@ mod tests {
         let g = shared_fn_chain();
         let cp = stubs(2);
         let none = HashMap::new();
-        let c = ctx(
-            &g,
-            &cp,
-            &none,
-            FabricTopology::uniform("private-port"),
-            &[0; 2],
-        );
-        let p = TopologyAwarePlacement::default();
+        let c = ctx(&g, &cp, &none, FabricTopology::default(), &[0; 2]);
+        let p = TopologyAwarePlacement;
         assert_eq!(p.assign(&c).unwrap(), vec![0, 1, 0]);
         // Pre-existing load (2 resident tasks on shell 0) tips the
         // first two choices to the idle shell, then ties break low.
-        let c = ctx(
-            &g,
-            &cp,
-            &none,
-            FabricTopology::uniform("private-port"),
-            &[2, 0],
-        );
+        let c = ctx(&g, &cp, &none, FabricTopology::default(), &[2, 0]);
         assert_eq!(p.assign(&c).unwrap(), vec![1, 1, 0]);
     }
 
@@ -686,15 +639,10 @@ mod tests {
         let cp = stubs(4);
         let none = HashMap::new();
         let topo = FabricTopology {
-            kind: "mesh",
-            banks: 4,
-            interleave_bytes: 64,
-            mesh: Some((2, 2)),
-            private_ports: true,
-            hop_cycles: 1,
+            mesh: Some(MeshGeometry::new(2, 2)),
         };
         let c = ctx(&g, &cp, &none, topo, &[0; 4]);
-        let assign = TopologyAwarePlacement::default().assign(&c).unwrap();
+        let assign = TopologyAwarePlacement.assign(&c).unwrap();
         // src → node 0; mid prefers the adjacent idle node 1; dst then
         // prefers node 3 (1 hop from mid) over node 2 (2 hops).
         assert_eq!(assign, vec![0, 1, 3]);
@@ -712,48 +660,16 @@ mod tests {
         let g = shared_fn_chain();
         let cp = stubs(2);
         let pins = HashMap::from([("mid".to_string(), 1usize)]);
-        let c = ctx(
-            &g,
-            &cp,
-            &pins,
-            FabricTopology::uniform("shared-bus"),
-            &[0; 2],
-        );
+        let c = ctx(&g, &cp, &pins, FabricTopology::default(), &[0; 2]);
         assert_eq!(FirstFitPlacement.assign(&c).unwrap(), vec![0, 1, 0]);
         let bad = HashMap::from([("mid".to_string(), 9usize)]);
-        let c = ctx(
-            &g,
-            &cp,
-            &bad,
-            FabricTopology::uniform("shared-bus"),
-            &[0; 2],
-        );
-        match TopologyAwarePlacement::default().assign(&c).unwrap_err() {
+        let c = ctx(&g, &cp, &bad, FabricTopology::default(), &[0; 2]);
+        match TopologyAwarePlacement.assign(&c).unwrap_err() {
             MapError::BadAssignment { task, coproc } => {
                 assert_eq!(task, "mid");
                 assert_eq!(coproc, 9);
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn topology_aware_widens_buffer_alignment_to_the_stripe() {
-        let p = TopologyAwarePlacement::default();
-        let mesh = FabricTopology {
-            kind: "mesh",
-            banks: 4,
-            interleave_bytes: 64,
-            mesh: Some((2, 2)),
-            private_ports: true,
-            hop_cycles: 1,
-        };
-        assert_eq!(p.buffer_align(0, &mesh), 64);
-        assert_eq!(
-            p.buffer_align(0, &FabricTopology::uniform("shared-bus")),
-            BUFFER_ALIGN
-        );
-        // The default pass never widens.
-        assert_eq!(FirstFitPlacement.buffer_align(0, &mesh), BUFFER_ALIGN);
     }
 }

@@ -72,17 +72,15 @@ pub mod constants {
     /// Mesh link-segment transport per byte per hop, pJ. A route of
     /// 4 hops costs the same wire energy as the flat global bus.
     pub const PJ_PER_LINK_BYTE_HOP: f64 = 1.5;
-    /// Fixed cost of routing one `putspace` message, pJ.
+    /// Cost of delivering one `putspace` message, pJ.
     pub const PJ_PER_SYNC_MSG: f64 = 4.0;
-    /// Additional cost per sync-network link hop, pJ.
-    pub const PJ_PER_SYNC_HOP: f64 = 0.8;
 }
 
 /// Observed transport activity of one run, the input to
 /// [`transport_energy_pj`]. Data-side counters come from the data
 /// fabric's ports; the hop-weighted byte count comes from a mesh
-/// fabric's per-link stats (0 elsewhere); sync counters come from
-/// `RunSummary::sync_fabric`.
+/// fabric's per-link stats (0 elsewhere); the message count comes from
+/// `RunSummary::sync_messages`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TransportCounts {
     /// Total bytes moved between shells and SRAM.
@@ -93,14 +91,12 @@ pub struct TransportCounts {
     /// Whether the data fabric is a mesh (wire energy is then charged
     /// per link hop instead of per global-bus byte).
     pub mesh: bool,
-    /// `putspace` messages routed.
+    /// `putspace` messages delivered.
     pub sync_messages: u64,
-    /// Sync-network link hops traversed.
-    pub sync_hops: u64,
 }
 
 /// Transport (communication) energy of a run, in pJ: bank accesses plus
-/// wire transport plus sync-network routing, per the decomposition in
+/// wire transport plus `putspace` messages, per the decomposition in
 /// [`constants`]. On flat fabrics this reduces to the paper's aggregate
 /// 18 pJ per SRAM byte (+ sync); on a mesh the wire term scales with
 /// the byte·hops placement controls.
@@ -111,10 +107,7 @@ pub fn transport_energy_pj(c: &TransportCounts) -> f64 {
     } else {
         c.sram_bytes as f64 * PJ_PER_WIRE_BYTE
     };
-    c.sram_bytes as f64 * PJ_PER_BANK_BYTE
-        + wire
-        + c.sync_messages as f64 * PJ_PER_SYNC_MSG
-        + c.sync_hops as f64 * PJ_PER_SYNC_HOP
+    c.sram_bytes as f64 * PJ_PER_BANK_BYTE + wire + c.sync_messages as f64 * PJ_PER_SYNC_MSG
 }
 
 /// Convenience: transport energy per macroblock (or any other work

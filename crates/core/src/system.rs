@@ -9,26 +9,25 @@
 //!   is woken by the next incoming `putspace` message (coprocessors are
 //!   fully autonomous — no CPU involvement, paper Section 2.3).
 //! * **Sync** — a `putspace` message arrives at its destination shell
-//!   after the synchronization network has routed it (and, in the
+//!   a flat `sync_latency` after it departs (paper Section 5.1; in the
 //!   CPU-centric baseline of experiment E10, after being serialized
-//!   through the CPU).
+//!   through the CPU as well).
 //! * **Sample** — the periodic measurement process reads the shell
 //!   counters into the trace log (paper Section 5.4).
 //!
 //! The module is split by concern:
 //!
 //! * [`wiring`](self) — [`SystemBuilder`]: instantiation, build-time
-//!   mapping, and interconnect-fabric selection;
-//! * `run_loop` — the event loop proper (steps, sync routing, sampling,
+//!   mapping, and data-fabric selection;
+//! * `run_loop` — the event loop proper (steps, sync delivery, sampling,
 //!   invariant checking);
 //! * `lifecycle` — run-time reconfiguration (map/pause/resume/drain/
 //!   unmap of live applications);
 //! * `summary` — end-of-run accounting ([`RunSummary`]).
 //!
 //! This file keeps the [`EclipseSystem`] state struct and its simple
-//! accessors; both data transport and `putspace` routing are pluggable
-//! fabrics injected at build time ([`eclipse_mem::DataFabric`],
-//! [`eclipse_shell::SyncFabric`]).
+//! accessors; data transport is a pluggable fabric injected at build
+//! time ([`eclipse_mem::DataFabric`]).
 
 mod lifecycle;
 mod run_loop;
@@ -54,7 +53,7 @@ use std::collections::HashMap;
 use eclipse_mem::alloc::AllocError;
 use eclipse_mem::{BufferAllocator, Bus, DataFabric, Dram};
 use eclipse_shell::stream_table::AccessPoint;
-use eclipse_shell::{MemSys, Shell, SyncFabric, SyncMsg};
+use eclipse_shell::{MemSys, Shell, SyncMsg};
 use eclipse_sim::stats::{Histogram, Utilization};
 use eclipse_sim::trace::{SamplePolicy, SharedTraceSink, TraceHandle, TraceSink};
 use eclipse_sim::{Calendar, Cycle, FaultInjector, FaultPlan, FaultStats};
@@ -201,9 +200,6 @@ pub struct EclipseSystem {
     mem: MemSys,
     dram: Dram,
     system_bus: Bus,
-    /// The `putspace` message network (paper Section 5.1); pluggable at
-    /// build time via [`SystemBuilder::with_sync_fabric`].
-    sync: Box<dyn SyncFabric>,
     /// The SRAM buffer allocator, carried over from the builder so live
     /// reconfiguration can claim and reclaim stream buffers.
     alloc: BufferAllocator,
@@ -363,11 +359,6 @@ impl EclipseSystem {
         self.mem.fabric.as_ref()
     }
 
-    /// The `putspace` synchronization network (for routing stats).
-    pub fn sync_fabric(&self) -> &dyn SyncFabric {
-        self.sync.as_ref()
-    }
-
     /// The off-chip system bus (for stats).
     pub fn system_bus(&self) -> &Bus {
         &self.system_bus
@@ -379,8 +370,8 @@ impl EclipseSystem {
     }
 
     /// Install a structured event-trace sink of the given ring capacity
-    /// and attach every shell, the data fabric, the sync fabric, and the
-    /// off-chip system bus to it. Returns the shared sink so the caller
+    /// and attach every shell, the data fabric, and the off-chip system
+    /// bus to it. Returns the shared sink so the caller
     /// can export the events (or toggle collection) after the run.
     /// Tracing is purely observational: enabling it never changes
     /// simulated timing.
@@ -407,7 +398,6 @@ impl EclipseSystem {
         }
         self.mem.fabric.attach_trace(&sink);
         self.system_bus.attach_trace(&sink);
-        self.sync.attach_trace(&sink);
         self.sys_trace = Some(TraceHandle::new(&sink, "system"));
         self.trace_sink = Some(sink.clone());
         sink

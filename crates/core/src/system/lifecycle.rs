@@ -16,7 +16,7 @@ use eclipse_shell::stream_table::RowIdx;
 use eclipse_shell::task_table::TaskIdx;
 use eclipse_sim::trace::TraceEventKind;
 
-use crate::mapping::{plan_rows, AppHandles, MapError};
+use crate::mapping::{plan_rows, AppHandles, MapError, BUFFER_ALIGN};
 
 use super::wiring::{install_plan, resolve_assignments};
 use super::EclipseSystem;
@@ -177,12 +177,11 @@ impl EclipseSystem {
         if self.apps.contains_key(&graph.name) {
             return Err(ReconfigError::AlreadyMapped(graph.name.clone()));
         }
-        let topo = self.mem.fabric.topology();
         let assign = resolve_assignments(
             self.placement.as_ref(),
             &self.coprocs,
             &self.shells,
-            topo,
+            self.mem.fabric.topology(),
             graph,
             assignments,
         )?;
@@ -219,7 +218,6 @@ impl EclipseSystem {
         // Carve the stream buffers, remembering them for rollback.
         let mut allocated: Vec<CyclicBuffer> = Vec::new();
         let alloc = &mut self.alloc;
-        let placement = self.placement.as_ref();
         let plan = plan_rows(
             graph,
             &assign,
@@ -233,8 +231,8 @@ impl EclipseSystem {
                     sim_free[s].remove(0)
                 }
             },
-            |i, size| {
-                let b = alloc.alloc(size, placement.buffer_align(i, &topo))?;
+            |size| {
+                let b = alloc.alloc(size, BUFFER_ALIGN)?;
                 allocated.push(b);
                 Ok(b)
             },

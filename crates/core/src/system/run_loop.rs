@@ -1,6 +1,5 @@
-//! The discrete-event loop: coprocessor steps, `putspace` routing
-//! through the sync fabric, sampling, deadlock diagnosis, and the
-//! credit-conservation checker.
+//! The discrete-event loop: coprocessor steps, `putspace` delivery,
+//! sampling, deadlock diagnosis, and the credit-conservation checker.
 
 use eclipse_shell::stream_table::{AccessPoint, PortDir, RowIdx};
 use eclipse_shell::task_table::TaskIdx;
@@ -337,10 +336,10 @@ impl EclipseSystem {
                         self.shells[s].finish_task(task);
                     }
                 }
-                // Dispatch putspace messages through the sync fabric (or
-                // the CPU in the E10 baseline, reached over the same
-                // network). An active fault injector may drop or delay
-                // individual messages.
+                // Dispatch putspace messages over the sync network (or
+                // through the CPU in the E10 baseline, reached over the
+                // same network). An active fault injector may drop or
+                // delay individual messages.
                 let sync_latency = shell_cfg.sync_latency;
                 for mut msg in msgs.drain(..) {
                     let mut extra_delay = 0u64;
@@ -374,17 +373,12 @@ impl EclipseSystem {
                             }
                         }
                     }
-                    let depart = msg.send_at.max(now);
-                    // The fabric decides when the message reaches its
-                    // destination (with the default direct network:
-                    // `depart + sync_latency`, exactly the pre-fabric
-                    // model). The CPU-centric baseline routes the message
-                    // to the CPU first, serializes through its service
-                    // loop, then pays the network latency once more for
-                    // the forwarded message.
-                    let routed =
-                        self.sync
-                            .route(depart, msg.src.shell, msg.dst.shell, sync_latency);
+                    // The paper's message network charges a flat
+                    // per-message latency (Section 5.1). The CPU-centric
+                    // baseline routes the message to the CPU first,
+                    // serializes through its service loop, then pays the
+                    // network latency once more for the forwarded message.
+                    let routed = msg.send_at.max(now) + sync_latency;
                     let arrive = match self.cpu_sync {
                         None => routed,
                         Some(cpu) => {
@@ -461,24 +455,6 @@ impl EclipseSystem {
                 name.clear();
                 let _ = write!(name, "taskdenied/{}", t.cfg.name);
                 self.trace.record(&name, now, t.stats.denials as f64);
-            }
-        }
-        // Sync-network counter tracks (hops and link waits on the
-        // ring/mesh networks). Structured trace only: `TraceLog` series
-        // are part of the checkpoint and the state hash, so adding one
-        // would change the committed snapshot evidence, while the sink
-        // is observational state outside both.
-        if let Some(t) = &self.sys_trace {
-            let s = self.sync.stats();
-            for (track, value) in [
-                ("sync/messages", s.messages),
-                ("sync/hops", s.hops),
-                ("sync/wait_cycles", s.wait_cycles),
-            ] {
-                t.emit_with(now, |sink| TraceEventKind::Counter {
-                    track: sink.intern(track),
-                    value,
-                });
             }
         }
         self.sample_name = name;

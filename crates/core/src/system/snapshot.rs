@@ -16,7 +16,7 @@
 //!
 //! `MAGIC (8 bytes) | version u32 | config digest u64 | state section`.
 //! The config digest is an FNV-1a hash of the build-time configuration
-//! (template parameters, coprocessor roster, fabric kinds): restoring
+//! (template parameters, coprocessor roster, data-fabric kind): restoring
 //! into a differently-built system fails fast with
 //! [`SnapError::ConfigMismatch`] instead of deserializing garbage.
 //!
@@ -24,6 +24,8 @@
 //! output but is *excluded* from [`EclipseSystem::state_hash`]: tracing
 //! is observational, and enabling it must never change the hash of the
 //! architectural state.
+
+use std::collections::HashMap;
 
 use eclipse_shell::stream_table::{AccessPoint, RowIdx};
 use eclipse_shell::task_table::TaskIdx;
@@ -43,7 +45,9 @@ pub const SNAP_MAGIC: &[u8; 8] = b"ECLSNAP1";
 /// v3: per-shell fault-injector RNG lanes, integer sync-latency
 /// histogram accumulators (ISSUE 9). Calendar events still serialize as
 /// `(time, event)` pairs — content keys are recomputed on load.
-pub const SNAP_VERSION: u32 = 3;
+/// v4: no sync-network state (delivery is the flat per-message latency)
+/// and no stored VLD output-port ids (derived from the bitstream source).
+pub const SNAP_VERSION: u32 = 4;
 
 fn save_access_point(w: &mut SnapWriter, ap: &AccessPoint) {
     w.u16(ap.shell.0);
@@ -153,16 +157,15 @@ impl AppRecord {
 
 impl EclipseSystem {
     /// FNV digest of the build-time configuration: template parameters,
-    /// coprocessor roster, fabric backends, and the CPU-sync baseline
+    /// coprocessor roster, data-fabric backend, and the CPU-sync baseline
     /// flag. Two systems with equal digests were built through the same
     /// construction path and can exchange checkpoints.
     pub fn config_digest(&self) -> u64 {
         let desc = format!(
-            "{:?}|coprocs={:?}|data={}|sync={}|cpu={:?}",
+            "{:?}|coprocs={:?}|data={}|cpu={:?}",
             self.cfg,
             self.shell_names,
             self.mem.fabric.kind(),
-            self.sync.kind(),
             self.cpu_sync,
         );
         fnv1a_64(desc.as_bytes())
@@ -250,7 +253,6 @@ impl EclipseSystem {
         self.system_bus.save(w);
         self.alloc.save(w);
         w.u32(self.dram_next);
-        self.sync.save_state(w);
 
         // Application lifecycle records, sorted by name for stable bytes.
         let mut app_names: Vec<&String> = self.apps.keys().collect();
@@ -375,6 +377,11 @@ impl EclipseSystem {
                 return Err(SnapError::Corrupt("row remote"));
             }
         }
+        // Space a live row holds toward a sender plus the credits in
+        // flight from it never exceed the row's buffer (credit
+        // conservation); more would overflow the row's `u32` space when
+        // the messages are delivered.
+        let mut credits: HashMap<(AccessPoint, AccessPoint), u64> = HashMap::new();
         for (_, _, ev) in &events {
             let ok = match ev {
                 Event::Step(s) => *s < self.shells.len(),
@@ -385,9 +392,20 @@ impl EclipseSystem {
                     exists(&m.dst) && {
                         let shell = &self.shells[m.dst.shell.0 as usize];
                         let row = &shell.rows()[m.dst.row.0 as usize];
-                        row.retired
-                            || m.dst_gen != shell.row_generation(m.dst.row)
-                            || row.remotes.contains(&m.src)
+                        if row.retired || m.dst_gen != shell.row_generation(m.dst.row) {
+                            true
+                        } else if let Some(idx) = row.remotes.iter().position(|r| *r == m.src) {
+                            let c = credits
+                                .entry((m.dst, m.src))
+                                .or_insert(row.space_toward(idx) as u64);
+                            *c += m.bytes as u64;
+                            if *c > row.buffer.size as u64 {
+                                return Err(SnapError::Corrupt("pending putspace bytes"));
+                            }
+                            true
+                        } else {
+                            false
+                        }
                     }
                 }
                 Event::Sample => true,
@@ -410,7 +428,6 @@ impl EclipseSystem {
         self.system_bus.load(r)?;
         self.alloc.load(r)?;
         self.dram_next = r.u32()?;
-        self.sync.load_state(r)?;
 
         self.apps.clear();
         for _ in 0..r.usize()? {

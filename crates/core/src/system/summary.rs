@@ -1,7 +1,6 @@
 //! End-of-run accounting: [`RunOutcome`], [`RunSummary`], and the
 //! close-out pass that derives them from the system state.
 
-use eclipse_shell::SyncFabricStats;
 use eclipse_sim::stats::{Histogram, Utilization};
 use eclipse_sim::trace::TraceEventKind;
 use eclipse_sim::{Cycle, FaultStats};
@@ -58,11 +57,6 @@ pub struct RunSummary {
     /// act). Observational, like the trace sink: excluded from
     /// checkpoints and the state hash, and monotone across rollbacks.
     pub recovery: Vec<RecoveryReport>,
-    /// Cumulative `putspace` network counters from the active sync
-    /// fabric: messages routed, link hops traversed, messages that
-    /// queued on a busy link, and the cycles they waited. All zero on
-    /// the flat direct network except `messages`.
-    pub sync_fabric: SyncFabricStats,
 }
 
 impl EclipseSystem {
@@ -133,7 +127,6 @@ impl EclipseSystem {
             media_errors,
             concealed_mbs,
             recovery: std::mem::take(&mut self.recovery_log),
-            sync_fabric: self.sync.stats(),
         }
     }
 }

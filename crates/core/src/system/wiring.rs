@@ -9,7 +9,7 @@ use eclipse_mem::alloc::AllocError;
 use eclipse_mem::{BufferAllocator, Bus, DataFabricConfig, Dram, FabricTopology};
 use eclipse_shell::stream_table::RowIdx;
 use eclipse_shell::task_table::TaskIdx;
-use eclipse_shell::{MemSys, Shell, ShellConfig, ShellId, SyncFabricConfig};
+use eclipse_shell::{MemSys, Shell, ShellConfig, ShellId};
 use eclipse_sim::stats::{Histogram, Utilization};
 use eclipse_sim::Calendar;
 
@@ -17,7 +17,7 @@ use crate::config::EclipseConfig;
 use crate::coproc::Coprocessor;
 use crate::mapping::{
     plan_rows, task_config, AppHandles, FirstFitPlacement, MapError, Placement, PlacementCtx,
-    RowPlan,
+    RowPlan, BUFFER_ALIGN,
 };
 use crate::trace::TraceLog;
 
@@ -141,7 +141,6 @@ pub struct SystemBuilder {
     cpu_sync: Option<CpuSyncConfig>,
     apps: HashMap<String, AppRecord>,
     data_fabric: Option<DataFabricConfig>,
-    sync_fabric: SyncFabricConfig,
     placement: Box<dyn Placement>,
 }
 
@@ -159,7 +158,6 @@ impl SystemBuilder {
             cpu_sync: None,
             apps: HashMap::new(),
             data_fabric: None,
-            sync_fabric: SyncFabricConfig::Direct,
             placement: Box::new(FirstFitPlacement),
         }
     }
@@ -195,17 +193,10 @@ impl SystemBuilder {
     /// Select the shell↔SRAM data-transport fabric. The default is the
     /// paper instance's shared read/write bus pair built from
     /// `cfg.read_bus` / `cfg.write_bus` (timing-identical to the
-    /// pre-fabric model); multi-bank SRAM fabrics open up bank-level
-    /// parallelism.
+    /// pre-fabric model); the private-port and mesh fabrics give every
+    /// shell its own port into the SRAM.
     pub fn with_data_fabric(&mut self, fabric: DataFabricConfig) -> &mut Self {
         self.data_fabric = Some(fabric);
-        self
-    }
-
-    /// Select the `putspace` synchronization network. The default is the
-    /// flat-latency direct network of the paper instance.
-    pub fn with_sync_fabric(&mut self, fabric: SyncFabricConfig) -> &mut Self {
-        self.sync_fabric = fabric;
         self
     }
 
@@ -222,10 +213,8 @@ impl SystemBuilder {
     /// The topology descriptor the active (or default) data fabric
     /// publishes — what the placement pass will read.
     pub fn topology(&self) -> FabricTopology {
-        match &self.data_fabric {
-            Some(f) => f.topology(),
-            None => FabricTopology::uniform("shared-bus"),
-        }
+        self.data_fabric
+            .map_or_else(FabricTopology::default, |f| f.topology())
     }
 
     /// Reserve `size` bytes of off-chip memory (bitstreams, frame
@@ -262,12 +251,11 @@ impl SystemBuilder {
         graph: &AppGraph,
         assignments: &std::collections::HashMap<String, usize>,
     ) -> Result<AppHandles, MapError> {
-        let topo = self.topology();
         let assign = resolve_assignments(
             self.placement.as_ref(),
             &self.coprocs,
             &self.shells,
-            topo,
+            self.topology(),
             graph,
             assignments,
         )?;
@@ -276,7 +264,6 @@ impl SystemBuilder {
         // retired yet), so slot prediction is a plain per-shell counter.
         let mut next_row: Vec<u16> = self.shells.iter().map(|s| s.rows().len() as u16).collect();
         let alloc = &mut self.alloc;
-        let placement = self.placement.as_ref();
         let plan = plan_rows(
             graph,
             &assign,
@@ -286,7 +273,7 @@ impl SystemBuilder {
                 next_row[s] += 1;
                 r
             },
-            |i, size| alloc.alloc(size, placement.buffer_align(i, &topo)),
+            |size| alloc.alloc(size, BUFFER_ALIGN),
         )?;
 
         let (handles, rows, tasks) = install_plan(
@@ -332,7 +319,6 @@ impl SystemBuilder {
             mem: MemSys::with_fabric(self.cfg.sram, data),
             dram: Dram::new(self.cfg.dram),
             system_bus: Bus::new("system", self.cfg.system_bus),
-            sync: self.sync_fabric.build(n),
             cfg: self.cfg,
             coprocs: self.coprocs,
             shells: self.shells,

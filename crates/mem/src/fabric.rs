@@ -5,10 +5,9 @@
 //! but the communication hardware is explicitly a replaceable, scalable
 //! component. [`DataFabric`] is that seam. The historical bus pair is the
 //! default [`SharedBusFabric`] (timing-identical to the former hardwired
-//! `Bus` pair inside `MemSys`); [`MultiBankFabric`] models an
-//! address-interleaved multi-bank SRAM interconnect where independent
-//! banks arbitrate in parallel, opening the bandwidth-scaling axis the
-//! shared bus saturates.
+//! `Bus` pair inside `MemSys`); [`PrivatePortFabric`] gives every shell
+//! its own port behind a worst-case-provisioned crossbar, and
+//! [`MeshDataFabric`] spreads the SRAM over the bank nodes of a 2-D mesh.
 //!
 //! A fabric is purely a *timing* model: the functional byte movement stays
 //! in [`crate::sram::Sram`]; the fabric decides when the data is usable.
@@ -20,9 +19,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::bus::{Bus, BusConfig, BusStats, Transfer};
 
-/// Direction of a fabric request (selects the bus on the shared-bus
-/// fabric; multi-bank fabrics arbitrate reads and writes on one port per
-/// bank, like a single-ported SRAM bank).
+/// Direction of a fabric request (selects the read or write bus or
+/// port).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FabricDir {
     /// SRAM → shell (cache line fetch).
@@ -33,8 +31,8 @@ pub enum FabricDir {
 
 /// Geometry of a `cols × rows` mesh with XY (dimension-ordered)
 /// routing — shared by the data-plane [`MeshDataFabric`] and the
-/// sync-plane mesh network in `eclipse-shell`, so both planes agree on
-/// node coordinates, link identities, and hop distances.
+/// placement pass's distance metric ([`FabricTopology`]), so both agree
+/// on node coordinates and hop distances.
 ///
 /// Node `n` sits at `(n % cols, n / cols)`. Directed links are
 /// enumerated east, west, south, north (stable ids, so per-link
@@ -113,54 +111,26 @@ impl MeshGeometry {
 }
 
 /// A topology descriptor the placement pass reads off the active data
-/// fabric ([`DataFabric::topology`]): how many independently arbitrated
-/// bank nodes exist, how addresses stripe across them, and — for mesh
-/// fabrics — the grid the distance metric lives on. Placement uses it
-/// to spread hot streams across distinct banks and keep communicating
-/// tasks on adjacent mesh nodes; everything here is static
-/// configuration, never run-time state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// fabric ([`DataFabric::topology`]): the bank-node grid of a mesh
+/// fabric, on which the placer keeps communicating tasks close. Flat
+/// fabrics publish the default (no grid: every port is equidistant).
+/// Everything here is static configuration, never run-time state.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FabricTopology {
-    /// The owning fabric's `kind()`.
-    pub kind: &'static str,
-    /// Independently arbitrated bank nodes (1 = uniform/global).
-    pub banks: usize,
-    /// Address-interleave stripe in bytes (0 = not interleaved).
-    pub interleave_bytes: u32,
-    /// Mesh grid `(cols, rows)` when the banks form a 2-D mesh.
-    pub mesh: Option<(usize, usize)>,
-    /// Whether each requester owns a private injection port (positive
-    /// grant floor; distance — not arbitration — is the placement axis).
-    pub private_ports: bool,
-    /// Added latency per mesh hop (0 without a mesh).
-    pub hop_cycles: Cycle,
+    /// The bank-node grid when the fabric is a 2-D mesh.
+    pub mesh: Option<MeshGeometry>,
 }
 
 impl FabricTopology {
-    /// A distance-free, single-arbiter topology (the default hook).
-    pub fn uniform(kind: &'static str) -> Self {
-        FabricTopology {
-            kind,
-            banks: 1,
-            interleave_bytes: 0,
-            mesh: None,
-            private_ports: false,
-            hop_cycles: 0,
-        }
-    }
-
-    /// The bank node requester (shell) `s` injects at.
+    /// The bank node requester (shell) `s` injects at (0 on flat
+    /// fabrics).
     pub fn requester_node(&self, requester: usize) -> usize {
-        requester % self.banks.max(1)
+        self.mesh.map_or(0, |g| requester % g.nodes())
     }
 
-    /// Hop distance between two bank nodes (0 on non-mesh topologies,
-    /// whose ports are all equidistant).
+    /// Hop distance between two bank nodes (0 on flat fabrics).
     pub fn distance(&self, a: usize, b: usize) -> u64 {
-        match self.mesh {
-            Some((cols, rows)) => MeshGeometry::new(cols, rows).distance(a, b),
-            None => 0,
-        }
+        self.mesh.map_or(0, |g| g.distance(a, b))
     }
 }
 
@@ -188,7 +158,7 @@ impl FabricPort<'_> {
 /// their timing. Implementations must be deterministic — identical
 /// request sequences must produce identical [`Transfer`]s.
 pub trait DataFabric: std::fmt::Debug {
-    /// Short backend name for reports ("shared-bus", "multibank4", ...).
+    /// Short backend name for reports ("shared-bus", "mesh", ...).
     fn kind(&self) -> &'static str;
 
     /// Request a transfer of `bytes` at SRAM address `addr`, issued at
@@ -219,11 +189,10 @@ pub trait DataFabric: std::fmt::Debug {
         self.ports().into_iter().find(|p| p.name == name)
     }
 
-    /// Static topology descriptor for the placement pass: bank count,
-    /// address interleave, optional mesh grid. The default is the
-    /// uniform single-arbiter topology (no placement leverage).
+    /// Static topology descriptor for the placement pass. The default
+    /// is the flat, distance-free topology.
     fn topology(&self) -> FabricTopology {
-        FabricTopology::uniform(self.kind())
+        FabricTopology::default()
     }
 
     /// Serialize the fabric's dynamic state (arbiter clocks, statistics)
@@ -239,9 +208,6 @@ pub trait DataFabric: std::fmt::Debug {
     /// Downcast support (tests and reports inspect backend-specific
     /// state, e.g. a mesh's in-flight routes).
     fn as_any(&self) -> &dyn std::any::Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
 }
 
 /// Fabric selection, resolved to a backend at system build time.
@@ -254,18 +220,6 @@ pub enum DataFabricConfig {
         read: BusConfig,
         /// Write-bus parameters.
         write: BusConfig,
-    },
-    /// Address-interleaved multi-bank SRAM fabric: consecutive
-    /// `interleave_bytes`-sized chunks live in consecutive banks, each
-    /// bank arbitrates its own port in order, and a transfer completes
-    /// when its slowest chunk completes.
-    MultiBank {
-        /// Number of banks (power of two, at most [`MAX_BANKS`]).
-        banks: u32,
-        /// Bytes per interleave chunk (power of two).
-        interleave_bytes: u32,
-        /// Per-bank port parameters.
-        bank: BusConfig,
     },
     /// Per-requester private ports into address-interleaved SRAM banks
     /// through a worst-case-provisioned crossbar: every request pays the
@@ -308,11 +262,6 @@ impl DataFabricConfig {
             DataFabricConfig::SharedBus { read, write } => {
                 Box::new(SharedBusFabric::new(read, write))
             }
-            DataFabricConfig::MultiBank {
-                banks,
-                interleave_bytes,
-                bank,
-            } => Box::new(MultiBankFabric::new(banks, interleave_bytes, bank)),
             DataFabricConfig::PrivatePort { grant_cycles, port } => {
                 Box::new(PrivatePortFabric::new(grant_cycles, port))
             }
@@ -340,41 +289,10 @@ impl DataFabricConfig {
     /// exactly).
     pub fn topology(&self) -> FabricTopology {
         match *self {
-            DataFabricConfig::SharedBus { .. } => FabricTopology::uniform("shared-bus"),
-            DataFabricConfig::MultiBank {
-                banks,
-                interleave_bytes,
-                ..
-            } => FabricTopology {
-                kind: "multibank",
-                banks: banks as usize,
-                interleave_bytes,
-                mesh: None,
-                private_ports: false,
-                hop_cycles: 0,
+            DataFabricConfig::Mesh { cols, rows, .. } => FabricTopology {
+                mesh: Some(MeshGeometry::new(cols as usize, rows as usize)),
             },
-            DataFabricConfig::PrivatePort { .. } => FabricTopology {
-                kind: "private-port",
-                banks: 1,
-                interleave_bytes: 0,
-                mesh: None,
-                private_ports: true,
-                hop_cycles: 0,
-            },
-            DataFabricConfig::Mesh {
-                cols,
-                rows,
-                interleave_bytes,
-                hop_cycles,
-                ..
-            } => FabricTopology {
-                kind: "mesh",
-                banks: (cols as usize) * (rows as usize),
-                interleave_bytes,
-                mesh: Some((cols as usize, rows as usize)),
-                private_ports: true,
-                hop_cycles,
-            },
+            _ => FabricTopology::default(),
         }
     }
 }
@@ -463,185 +381,6 @@ impl DataFabric for SharedBusFabric {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// Upper bound on [`MultiBankFabric`] banks (names are static strings).
-pub const MAX_BANKS: usize = 16;
-
-const BANK_NAMES: [&str; MAX_BANKS] = [
-    "bank0", "bank1", "bank2", "bank3", "bank4", "bank5", "bank6", "bank7", "bank8", "bank9",
-    "bank10", "bank11", "bank12", "bank13", "bank14", "bank15",
-];
-
-/// Address-interleaved multi-bank SRAM fabric.
-///
-/// The SRAM address space is striped across `banks` single-ported banks in
-/// `interleave_bytes` chunks: chunk *i* of a transfer lands in bank
-/// `(addr / interleave) % banks`. Each bank arbitrates its own requests
-/// in arrival order (an independent [`Bus`] per bank, reads and writes
-/// sharing the port); the chunks of one transfer issue concurrently and
-/// the transfer completes when its slowest chunk does. Wide transfers
-/// therefore stream out of `banks` ports at once — the bandwidth scaling
-/// the shared bus cannot offer — while transfers colliding on a bank
-/// still serialize, which the per-bank stats and the contention counter
-/// make visible.
-#[derive(Debug)]
-pub struct MultiBankFabric {
-    banks: Vec<Bus>,
-    interleave: u32,
-    contended: u64,
-    trace: Option<TraceHandle>,
-}
-
-impl MultiBankFabric {
-    /// A new idle fabric with `banks` banks of `interleave_bytes` stripe.
-    pub fn new(banks: u32, interleave_bytes: u32, bank: BusConfig) -> Self {
-        assert!(
-            (1..=MAX_BANKS as u32).contains(&banks),
-            "bank count must be in 1..={MAX_BANKS}"
-        );
-        assert!(
-            interleave_bytes.is_power_of_two(),
-            "interleave must be a power of two"
-        );
-        MultiBankFabric {
-            banks: (0..banks as usize)
-                .map(|i| Bus::new(BANK_NAMES[i], bank))
-                .collect(),
-            interleave: interleave_bytes,
-            contended: 0,
-            trace: None,
-        }
-    }
-
-    fn bank_of(&self, addr: u32) -> usize {
-        ((addr / self.interleave) as usize) % self.banks.len()
-    }
-}
-
-impl DataFabric for MultiBankFabric {
-    fn kind(&self) -> &'static str {
-        "multibank"
-    }
-
-    /// Banks are real, separately arbitrated nodes: placement can
-    /// spread hot streams across them via buffer alignment.
-    fn topology(&self) -> FabricTopology {
-        FabricTopology {
-            kind: self.kind(),
-            banks: self.banks.len(),
-            interleave_bytes: self.interleave,
-            mesh: None,
-            private_ports: false,
-            hop_cycles: 0,
-        }
-    }
-
-    fn request(
-        &mut self,
-        _requester: usize,
-        dir: FabricDir,
-        now: Cycle,
-        addr: u32,
-        bytes: u32,
-    ) -> Transfer {
-        let _ = dir;
-        debug_assert!(bytes > 0, "zero-byte fabric transaction");
-        // Split the transfer at interleave boundaries; chunks issue
-        // concurrently, each arbitrating on its own bank.
-        //
-        // Contended-wait accounting distinguishes *external* contention
-        // (the bank was busy with someone else's transfer when our first
-        // chunk arrived) from *self-serialization* (a wide transfer
-        // wrapping around the stripe queues behind its own earlier chunk
-        // on the same bank). Only the first chunk landing on each bank
-        // can wait on external traffic; later chunks on that bank wait
-        // behind ourselves, which is bandwidth, not contention. A bank
-        // freed exactly at `now` (`now == next_free`) grants immediately
-        // with zero wait — the grant boundary is not contention either.
-        let mut a = addr;
-        let mut remaining = bytes;
-        let mut start = Cycle::MAX;
-        let mut done = 0;
-        let mut wait = 0;
-        let mut banks_touched = 0u32;
-        while remaining > 0 {
-            let in_chunk = (self.interleave - a % self.interleave).min(remaining);
-            let bank = self.bank_of(a);
-            let first_touch = banks_touched & (1 << bank) == 0;
-            banks_touched |= 1 << bank;
-            let t = self.banks[bank].request(now, in_chunk);
-            if first_touch && t.wait > 0 {
-                self.contended += 1;
-                wait = wait.max(t.wait);
-            }
-            if let Some(h) = &self.trace {
-                h.emit(
-                    t.start,
-                    TraceEventKind::BankGrant {
-                        bank: bank as u32,
-                        bytes: in_chunk,
-                        wait: t.wait,
-                    },
-                );
-            }
-            start = start.min(t.start);
-            done = done.max(t.done);
-            a += in_chunk;
-            remaining -= in_chunk;
-        }
-        Transfer { start, done, wait }
-    }
-
-    fn attach_trace(&mut self, sink: &SharedTraceSink) {
-        self.trace = Some(TraceHandle::new(sink, "fabric/multibank"));
-    }
-
-    fn ports(&self) -> Vec<FabricPort<'_>> {
-        self.banks
-            .iter()
-            .map(|b| FabricPort {
-                name: b.name(),
-                stats: b.stats(),
-            })
-            .collect()
-    }
-
-    fn contended_requests(&self) -> u64 {
-        self.contended
-    }
-
-    fn save_state(&self, w: &mut SnapWriter) {
-        w.usize(self.banks.len());
-        for bank in &self.banks {
-            bank.save(w);
-        }
-        w.u64(self.contended);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        if n != self.banks.len() {
-            return Err(SnapError::Corrupt("fabric bank count"));
-        }
-        for bank in &mut self.banks {
-            bank.load(r)?;
-        }
-        self.contended = r.u64()?;
-        Ok(())
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// Upper bound on [`PrivatePortFabric`] requesters (port names are
@@ -726,20 +465,6 @@ impl PrivatePortFabric {
 impl DataFabric for PrivatePortFabric {
     fn kind(&self) -> &'static str {
         "private-port"
-    }
-
-    /// Distance-free: every port reaches every interleaved bank at the
-    /// same cost, so placement gains nothing from bank spreading here —
-    /// but the private ports mean load, not arbitration, is the axis.
-    fn topology(&self) -> FabricTopology {
-        FabricTopology {
-            kind: self.kind(),
-            banks: 1,
-            interleave_bytes: 0,
-            mesh: None,
-            private_ports: true,
-            hop_cycles: 0,
-        }
     }
 
     fn request(
@@ -836,10 +561,6 @@ impl DataFabric for PrivatePortFabric {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 /// Cumulative transport counters of one directed mesh link.
@@ -919,8 +640,8 @@ impl MeshDataFabric {
     ) -> Self {
         let geom = MeshGeometry::new(cols, rows);
         assert!(
-            geom.nodes() <= MAX_BANKS,
-            "mesh node count must not exceed {MAX_BANKS}"
+            geom.nodes() <= MAX_PORTS,
+            "mesh node count must not exceed {MAX_PORTS}"
         );
         assert!(
             interleave_bytes.is_power_of_two(),
@@ -938,11 +659,6 @@ impl MeshDataFabric {
             contended: 0,
             trace: None,
         }
-    }
-
-    /// The grid geometry (shared with the sync-plane mesh).
-    pub fn geometry(&self) -> MeshGeometry {
-        self.geom
     }
 
     /// Per-directed-link transport counters, in stable link-id order.
@@ -997,12 +713,7 @@ impl DataFabric for MeshDataFabric {
 
     fn topology(&self) -> FabricTopology {
         FabricTopology {
-            kind: self.kind(),
-            banks: self.geom.nodes(),
-            interleave_bytes: self.interleave,
-            mesh: Some((self.geom.cols, self.geom.rows)),
-            private_ports: true,
-            hop_cycles: self.hop_cycles,
+            mesh: Some(self.geom),
         }
     }
 
@@ -1136,10 +847,6 @@ impl DataFabric for MeshDataFabric {
     fn as_any(&self) -> &dyn std::any::Any {
         self
     }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -1183,61 +890,10 @@ mod tests {
     }
 
     #[test]
-    fn multibank_stripes_across_banks() {
-        // 4 banks, 64 B interleave: a 256 B line-aligned transfer touches
-        // all four banks once and finishes in one bank's chunk time.
-        let mut f = MultiBankFabric::new(4, 64, cfg());
-        let t = f.request(0, FabricDir::Read, 0, 0, 256);
-        // Each chunk: 4 beats + latency 1 → done at 5, concurrently.
-        assert_eq!(
-            t,
-            Transfer {
-                start: 0,
-                done: 5,
-                wait: 0
-            }
-        );
-        for p in f.ports() {
-            assert_eq!(p.stats.transactions, 1);
-            assert_eq!(p.stats.bytes, 64);
-        }
-        assert_eq!(f.contended_requests(), 0);
-    }
-
-    #[test]
-    fn multibank_collisions_serialize_on_one_bank() {
-        let mut f = MultiBankFabric::new(4, 64, cfg());
-        // Two transfers to the same bank at the same cycle: second waits.
-        let t1 = f.request(0, FabricDir::Read, 0, 0, 64);
-        let t2 = f.request(1, FabricDir::Write, 0, 256, 64); // 256/64 % 4 == bank 0
-        assert_eq!(t1.wait, 0);
-        assert!(t2.wait > 0);
-        assert_eq!(f.contended_requests(), 1);
-    }
-
-    #[test]
-    fn multibank_splits_unaligned_transfers() {
-        let mut f = MultiBankFabric::new(2, 64, cfg());
-        // 100 B starting at 32: chunks of 32 (bank 0), 64 (bank 1), 4 (bank 0).
-        f.request(0, FabricDir::Read, 0, 32, 100);
-        let ports = f.ports();
-        assert_eq!(ports[0].stats.transactions, 2);
-        assert_eq!(ports[0].stats.bytes, 36);
-        assert_eq!(ports[1].stats.transactions, 1);
-        assert_eq!(ports[1].stats.bytes, 64);
-    }
-
-    #[test]
     fn fabric_conserves_bytes() {
         let mut shared: Box<dyn DataFabric> = DataFabricConfig::SharedBus {
             read: cfg(),
             write: cfg(),
-        }
-        .build();
-        let mut banked: Box<dyn DataFabric> = DataFabricConfig::MultiBank {
-            banks: 8,
-            interleave_bytes: 64,
-            bank: cfg(),
         }
         .build();
         let mut private: Box<dyn DataFabric> = DataFabricConfig::PrivatePort {
@@ -1262,9 +918,8 @@ mod tests {
             let requester = (state >> 48) as usize % 4;
             total += bytes as u64;
             let a = shared.request(requester, dir, i, addr, bytes);
-            let b = banked.request(requester, dir, i, addr, bytes);
-            let c = private.request(requester, dir, i, addr, bytes);
-            for t in [a, b, c] {
+            let b = private.request(requester, dir, i, addr, bytes);
+            for t in [a, b] {
                 assert!(t.start >= i);
                 // `wait` reflects externally-contended grants; `start` the
                 // earliest chunk's grant — so wait bounds (start - now)
@@ -1273,16 +928,16 @@ mod tests {
                 assert!(t.done > t.start);
             }
         }
-        for f in [&shared, &banked, &private] {
+        for f in [&shared, &private] {
             let carried: u64 = f.ports().iter().map(|p| p.stats.bytes).sum();
             assert_eq!(carried, total, "{} must carry every byte", f.kind());
         }
     }
 
-    /// Satellite-2 regression: a requester arriving exactly at the cycle a
+    /// Regression: a requester arriving exactly at the cycle a
     /// resource becomes free (`now == next_free`) is granted immediately —
     /// zero wait, and the fabric does NOT count a contended grant. Pinned
-    /// for every fabric, old and new.
+    /// for every fabric.
     #[test]
     fn boundary_cycle_grant_is_uncontended_on_every_fabric() {
         // cfg(): 64 B → 4 beats; a request at `now` occupies the bus until
@@ -1294,14 +949,6 @@ mod tests {
                 DataFabricConfig::SharedBus {
                     read: cfg(),
                     write: cfg(),
-                },
-                0,
-            ),
-            (
-                DataFabricConfig::MultiBank {
-                    banks: 4,
-                    interleave_bytes: 64,
-                    bank: cfg(),
                 },
                 0,
             ),
@@ -1334,26 +981,6 @@ mod tests {
                 "{kind}: boundary-cycle grants are not contention"
             );
         }
-    }
-
-    /// Satellite-2 regression: a wide transfer wrapping the bank stripe
-    /// serializes behind *itself* on each bank — that is occupancy, not
-    /// contention, and must inflate neither `wait` nor the contended
-    /// count.
-    #[test]
-    fn multibank_self_serialization_is_not_contention() {
-        let mut f = MultiBankFabric::new(2, 64, cfg());
-        // 256 B over 2 banks: chunks land bank0, bank1, bank0, bank1 —
-        // the second visit to each bank queues behind the first.
-        let t = f.request(0, FabricDir::Read, 0, 0, 256);
-        assert_eq!(t.start, 0);
-        assert_eq!(t.wait, 0, "self-serialization must not report as wait");
-        assert!(t.done > 5, "wrap-around chunks do serialize in time");
-        assert_eq!(f.contended_requests(), 0);
-        // A genuinely foreign collision still counts.
-        let t2 = f.request(1, FabricDir::Read, 0, 0, 64);
-        assert!(t2.wait > 0);
-        assert_eq!(f.contended_requests(), 1);
     }
 
     #[test]
@@ -1525,20 +1152,18 @@ mod tests {
     fn mesh_topology_describes_grid() {
         let f = MeshDataFabric::new(4, 2, 64, 2, 1, cfg());
         let t = f.topology();
-        assert_eq!(t.kind, "mesh");
-        assert_eq!(t.banks, 8);
-        assert_eq!(t.mesh, Some((4, 2)));
-        assert!(t.private_ports);
+        assert_eq!(t.mesh, Some(MeshGeometry::new(4, 2)));
         assert_eq!(t.requester_node(9), 1);
         assert_eq!(t.distance(0, 7), 4);
-        // Non-mesh fabrics report distance-free topologies.
-        let shared = SharedBusFabric::new(cfg(), cfg());
-        let ut = shared.topology();
-        assert_eq!(ut.banks, 1);
-        assert_eq!(ut.distance(0, 1), 0);
-        let banked = MultiBankFabric::new(4, 64, cfg());
-        assert_eq!(banked.topology().banks, 4);
-        assert_eq!(banked.topology().interleave_bytes, 64);
+        // Flat fabrics report distance-free topologies.
+        for flat in [
+            SharedBusFabric::new(cfg(), cfg()).topology(),
+            PrivatePortFabric::new(2, cfg()).topology(),
+        ] {
+            assert_eq!(flat, FabricTopology::default());
+            assert_eq!(flat.requester_node(9), 0);
+            assert_eq!(flat.distance(0, 1), 0);
+        }
     }
 
     #[test]
@@ -1547,11 +1172,6 @@ mod tests {
             DataFabricConfig::SharedBus {
                 read: cfg(),
                 write: cfg(),
-            },
-            DataFabricConfig::MultiBank {
-                banks: 4,
-                interleave_bytes: 64,
-                bank: cfg(),
             },
             DataFabricConfig::PrivatePort {
                 grant_cycles: 2,

@@ -16,13 +16,12 @@
 //!   bus, and the off-chip system bus),
 //! * [`fabric::DataFabric`] — the pluggable shell↔SRAM transport seam:
 //!   [`fabric::SharedBusFabric`] (the paper-instance bus pair, the
-//!   default), [`fabric::MultiBankFabric`] (address-interleaved
-//!   multi-bank arbitration for bandwidth scaling),
-//!   [`fabric::PrivatePortFabric`] (worst-case-provisioned crossbar
-//!   with a positive grant floor), and [`fabric::MeshDataFabric`] (a
-//!   2-D mesh NoC of bank nodes with XY routing and per-link
-//!   accounting); every backend publishes a [`fabric::FabricTopology`]
-//!   descriptor the topology-aware placement pass reads,
+//!   default), [`fabric::PrivatePortFabric`] (worst-case-provisioned
+//!   crossbar with a positive grant floor, the fastest data path), and
+//!   [`fabric::MeshDataFabric`] (a 2-D mesh NoC of bank nodes with XY
+//!   routing and per-link accounting); every backend publishes a
+//!   [`fabric::FabricTopology`] descriptor — the mesh grid, if any —
+//!   that the topology-aware placement pass reads for hop distances,
 //! * [`alloc::BufferAllocator`] — run-time allocation of cyclic stream
 //!   buffers in the shared SRAM address range (the paper's "communication
 //!   buffers can be allocated at run-time"),
@@ -46,6 +45,6 @@ pub use cyclic::CyclicBuffer;
 pub use dram::{Dram, DramConfig};
 pub use fabric::{
     DataFabric, DataFabricConfig, FabricDir, FabricPort, FabricTopology, LinkStats, MeshDataFabric,
-    MeshGeometry, MultiBankFabric, PrivatePortFabric, SharedBusFabric,
+    MeshGeometry, PrivatePortFabric, SharedBusFabric,
 };
 pub use sram::{Sram, SramConfig};

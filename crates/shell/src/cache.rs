@@ -34,8 +34,7 @@ pub const MAX_LINE_BYTES: u32 = 64;
 /// The memory system a shell's caches talk to: the shared SRAM behind a
 /// pluggable [`DataFabric`]. The paper's instance (Section 6) is the
 /// default [`SharedBusFabric`] — one shared read bus, one shared write
-/// bus; multi-bank backends stripe the same SRAM across parallel
-/// arbiters, and the private-port fabric gives every shell its own port
+/// bus; the private-port and mesh fabrics give every shell its own port
 /// pair (which is why requests carry the requesting shell's index).
 #[derive(Debug)]
 pub struct MemSys {

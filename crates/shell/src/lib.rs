@@ -34,15 +34,11 @@ pub mod cache;
 pub mod regs;
 pub mod shell;
 pub mod stream_table;
-pub mod sync_fabric;
 pub mod task_table;
 
 pub use cache::{CacheConfig, CacheStats, MemSys, StreamCache};
 pub use shell::{GetTaskResult, SchedPolicy, Shell, ShellConfig, ShellStats, SyncMsg};
 pub use stream_table::{AccessPoint, PortDir, RowIdx, StreamRowConfig, StreamRowStats};
-pub use sync_fabric::{
-    DirectSyncFabric, MeshSyncFabric, RingSyncFabric, SyncFabric, SyncFabricConfig, SyncFabricStats,
-};
 pub use task_table::{TaskConfig, TaskIdx, TaskStats};
 
 use serde::{Deserialize, Serialize};

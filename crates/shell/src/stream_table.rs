@@ -282,6 +282,15 @@ impl StreamRow {
             space.push(r.u32()?);
         }
         let granted = r.u32()?;
+        // The access point is an offset into the buffer, and neither the
+        // space toward any remote nor the grant can exceed the buffer;
+        // larger values would overflow `space` on the next delivery.
+        if access_point >= size {
+            return Err(SnapError::Corrupt("row access point"));
+        }
+        if space.iter().any(|&sp| sp > size) || granted > size {
+            return Err(SnapError::Corrupt("row space"));
+        }
         let retired = r.bool()?;
         let mut stats = StreamRowStats::default();
         stats.load(r)?;
@@ -446,5 +455,39 @@ mod tests {
     fn putspace_from_unknown_remote_panics() {
         let mut c = consumer(64);
         c.deliver_putspace(ap(9, 9), 8, 0);
+    }
+
+    fn reload(row: &StreamRow) -> Result<StreamRow, SnapError> {
+        let mut w = SnapWriter::new();
+        row.save_state(&mut w);
+        let bytes = w.into_bytes();
+        StreamRow::load_state(&mut SnapReader::new(&bytes))
+    }
+
+    /// A checkpointed row whose access point lies outside its buffer, or
+    /// whose space or grant exceeds the buffer, is corrupt: restoring it
+    /// would let the next delivery overflow `space`.
+    #[test]
+    fn restore_rejects_offsets_and_space_beyond_the_buffer() {
+        let mut p = producer(64, 2);
+        p.get_space(16, 0).unwrap();
+        p.put_space(8, 0);
+        p.get_space(40, 0).unwrap();
+        assert!(reload(&p).is_ok());
+        let corrupt: [fn(&mut StreamRow); 5] = [
+            |r| r.access_point = 64,
+            |r| r.access_point = u32::MAX,
+            |r| r.space[0] = 65,
+            |r| r.space[1] = u32::MAX,
+            |r| r.granted = 65,
+        ];
+        for (i, mutate) in corrupt.iter().enumerate() {
+            let mut row = p.clone();
+            mutate(&mut row);
+            assert!(
+                matches!(reload(&row), Err(SnapError::Corrupt(_))),
+                "mutation {i} restored"
+            );
+        }
     }
 }

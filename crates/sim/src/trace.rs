@@ -127,22 +127,14 @@ pub enum TraceEventKind {
         /// Data-path occupancy in cycles.
         busy: Cycle,
     },
-    /// A multi-bank data-fabric chunk was granted on a bank port after
-    /// `wait` cycles of arbitration.
+    /// A private-port or mesh data-fabric transfer was granted after
+    /// `wait` cycles (grant floor, route and own-port queueing).
     BankGrant {
-        /// Bank index within the fabric.
+        /// Requester port (private-port) or first bank node (mesh).
         bank: u32,
-        /// Chunk payload bytes.
+        /// Transfer payload bytes.
         bytes: u32,
-        /// Arbitration wait in cycles.
-        wait: Cycle,
-    },
-    /// A `putspace` message was routed across a sync network (ring /
-    /// crossbar backends; the direct network emits none).
-    SyncHop {
-        /// Links traversed between source and destination shell.
-        hops: u32,
-        /// Cycles queued behind busy links along the path.
+        /// Cycles from request to grant.
         wait: Cycle,
     },
     /// One coprocessor processing step (run-loop phase; a duration event
@@ -250,7 +242,6 @@ impl TraceEventKind {
             TraceEventKind::CachePrefetch { .. } => "cache_prefetch",
             TraceEventKind::BusGrant { .. } => "bus_grant",
             TraceEventKind::BankGrant { .. } => "bank_grant",
-            TraceEventKind::SyncHop { .. } => "sync_hop",
             TraceEventKind::Step { .. } => "step",
             TraceEventKind::SyncDeliver { .. } => "sync_deliver",
             TraceEventKind::Sample => "sample",
@@ -759,9 +750,6 @@ impl TraceSink {
                 TraceEventKind::BankGrant { bank, bytes, wait } => {
                     ("", bank.to_string(), bytes.to_string(), wait.to_string())
                 }
-                TraceEventKind::SyncHop { hops, wait } => {
-                    ("", hops.to_string(), wait.to_string(), String::new())
-                }
                 TraceEventKind::Step { task, busy, stall } => (
                     self.label(task),
                     busy.to_string(),
@@ -877,9 +865,6 @@ fn instant_args(kind: &TraceEventKind, sink: &TraceSink) -> String {
         }
         TraceEventKind::BankGrant { bank, bytes, wait } => {
             format!("\"bank\":{bank},\"bytes\":{bytes},\"wait\":{wait}")
-        }
-        TraceEventKind::SyncHop { hops, wait } => {
-            format!("\"hops\":{hops},\"wait\":{wait}")
         }
         TraceEventKind::SyncDeliver { bytes, latency } => {
             format!("\"bytes\":{bytes},\"latency\":{latency}")
@@ -1123,7 +1108,7 @@ mod tests {
     #[test]
     fn fabric_events_export_in_both_formats() {
         let mut s = TraceSink::new(16);
-        let u = s.intern("fabric/multibank");
+        let u = s.intern("fabric/mesh");
         s.emit(TraceEvent {
             cycle: 7,
             unit: u,
@@ -1133,19 +1118,11 @@ mod tests {
                 wait: 2,
             },
         });
-        s.emit(TraceEvent {
-            cycle: 9,
-            unit: u,
-            kind: TraceEventKind::SyncHop { hops: 2, wait: 1 },
-        });
         let json = s.to_chrome_trace();
         assert!(json.contains("bank_grant"));
         assert!(json.contains("\"bank\":3"));
-        assert!(json.contains("sync_hop"));
-        assert!(json.contains("\"hops\":2"));
         let csv = s.to_csv();
-        assert!(csv.contains("7,fabric/multibank,bank_grant,,3,64,2"));
-        assert!(csv.contains("9,fabric/multibank,sync_hop,,2,1,"));
+        assert!(csv.contains("7,fabric/mesh,bank_grant,,3,64,2"));
     }
 
     #[test]

@@ -1,22 +1,21 @@
-//! Fabric-equivalence suite: the pluggable interconnect layer must be
-//! invisible when the default backends are selected, and every backend
+//! Fabric-equivalence suite: the pluggable data-fabric layer must be
+//! invisible when the default backend is selected, and every backend
 //! must stay functionally conservative (no created or lost credits, no
 //! created or lost bytes) no matter how the traffic looks.
 //!
 //! Two layers of evidence:
 //!
-//! 1. **Timing equivalence.** Explicitly selecting the default fabrics
-//!    (`SharedBus` with the instance's read/write bus pair + `Direct`
-//!    sync delivery) on the Figure-10 decode reproduces the implicit
-//!    build cycle-for-cycle — the same guarantee the committed
-//!    `results/timing_fingerprint.txt` encodes, checked here against a
-//!    live run rather than a file.
+//! 1. **Timing equivalence.** Explicitly selecting the default fabric
+//!    (`SharedBus` with the instance's read/write bus pair) on the
+//!    Figure-10 decode reproduces the implicit build cycle-for-cycle —
+//!    the same guarantee the committed `results/timing_fingerprint.txt`
+//!    encodes, checked here against a live run rather than a file.
 //! 2. **Conservation under random traffic.** Property tests drive
 //!    randomly shaped producer/filter/consumer pipelines through every
-//!    fabric combination with the credit checker armed: each combo must
-//!    finish, observe the same number of sync messages, and move the
-//!    same number of bytes over the data fabric (the fabric shapes
-//!    *when* traffic flows, never *what* flows).
+//!    data fabric with the credit checker armed: each must finish,
+//!    observe sync traffic, and move the same number of bytes over the
+//!    data fabric (the fabric shapes *when* traffic flows, never *what*
+//!    flows).
 
 use eclipse::coprocs::apps::DecodeAppConfig;
 use eclipse::coprocs::instance::{build_decode_system, InstanceCosts, MpegBuilder};
@@ -26,7 +25,6 @@ use eclipse::media::encoder::{Encoder, EncoderConfig};
 use eclipse::media::source::{SourceConfig, SyntheticSource};
 use eclipse::media::stream::GopConfig;
 use eclipse::mem::{BusConfig, DataFabricConfig};
-use eclipse::shell::SyncFabricConfig;
 use eclipse_bench::synthetic::PipeCoproc;
 use proptest::prelude::*;
 
@@ -49,7 +47,7 @@ fn small_stream() -> Vec<u8> {
     bytes
 }
 
-/// Selecting the default fabrics by hand is byte-identical in time to
+/// Selecting the default fabric by hand is byte-identical in time to
 /// not selecting any fabric at all: same cycle count, same sync-message
 /// count, same per-shell utilization split.
 #[test]
@@ -65,7 +63,6 @@ fn explicit_default_fabrics_reproduce_implicit_timing() {
         read: cfg.read_bus,
         write: cfg.write_bus,
     });
-    eb.with_sync_fabric(SyncFabricConfig::Direct);
     eb.add_decode("dec0", bitstream, DecodeAppConfig::default());
     let mut explicit = eb.build();
     let b = explicit.run(20_000_000_000);
@@ -74,7 +71,7 @@ fn explicit_default_fabrics_reproduce_implicit_timing() {
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }
 
-/// One pipeline shape, run through a given fabric pair with the credit
+/// One pipeline shape, run through a given data fabric with the credit
 /// checker armed; returns the summary plus total bytes the data fabric
 /// carried.
 fn run_combo(
@@ -83,14 +80,12 @@ fn run_combo(
     packets: u32,
     packet_bytes: u32,
     data: DataFabricConfig,
-    sync: SyncFabricConfig,
 ) -> (RunSummary, u64) {
     let sram = (pipelines as u32 * 2 * buffer + 1024)
         .next_power_of_two()
         .max(32 * 1024);
     let mut b = SystemBuilder::new(EclipseConfig::default().with_sram_size(sram));
     b.with_data_fabric(data);
-    b.with_sync_fabric(sync);
     let mut g = GraphBuilder::new("fuzz");
     for p in 0..pipelines {
         let a = g.stream(format!("a{p}"), buffer);
@@ -131,93 +126,53 @@ fn run_combo(
     (summary, bytes)
 }
 
-fn fabric_combos(cfg: &EclipseConfig) -> Vec<(String, DataFabricConfig, SyncFabricConfig)> {
-    let bank = BusConfig {
+fn fabric_combos(cfg: &EclipseConfig) -> Vec<(&'static str, DataFabricConfig)> {
+    let port = BusConfig {
         width_bytes: cfg.read_bus.width_bytes,
         latency: cfg.read_bus.latency,
         cycles_per_beat: cfg.read_bus.cycles_per_beat,
     };
-    let shared = DataFabricConfig::SharedBus {
-        read: cfg.read_bus,
-        write: cfg.write_bus,
-    };
-    let ring = SyncFabricConfig::Ring {
-        hop_latency: 2,
-        link_occupancy: 1,
-    };
-    let mut combos = Vec::new();
-    for (dl, data) in [
-        ("shared", shared),
+    vec![
         (
-            "bank2",
-            DataFabricConfig::MultiBank {
-                banks: 2,
-                interleave_bytes: 64,
-                bank,
-            },
-        ),
-        (
-            "bank4",
-            DataFabricConfig::MultiBank {
-                banks: 4,
-                interleave_bytes: 64,
-                bank,
-            },
-        ),
-        (
-            "bank8",
-            DataFabricConfig::MultiBank {
-                banks: 8,
-                interleave_bytes: 64,
-                bank,
+            "shared",
+            DataFabricConfig::SharedBus {
+                read: cfg.read_bus,
+                write: cfg.write_bus,
             },
         ),
         (
             "private",
             DataFabricConfig::PrivatePort {
                 grant_cycles: 2,
-                port: bank,
+                port,
             },
         ),
-    ] {
-        for (sl, sync) in [("direct", SyncFabricConfig::Direct), ("ring", ring)] {
-            combos.push((format!("{dl}+{sl}"), data, sync));
-        }
-    }
-    // The 2-D mesh planes: XY-routed data chunks and an XY-routed sync
-    // network with credit piggy-backing must conserve exactly like the
-    // flat fabrics — hops shift timing and add link counters, never
-    // payload.
-    let mesh = DataFabricConfig::Mesh {
-        cols: 2,
-        rows: 2,
-        interleave_bytes: 64,
-        link_grant: 2,
-        hop_cycles: 1,
-        port: bank,
-    };
-    let mesh_sync = SyncFabricConfig::Mesh {
-        cols: 2,
-        rows: 2,
-        hop_latency: 2,
-        link_occupancy: 1,
-        piggyback_window: 4,
-    };
-    combos.push(("mesh+direct".into(), mesh, SyncFabricConfig::Direct));
-    combos.push(("mesh+ring".into(), mesh, ring));
-    combos.push(("mesh+mesh-sync".into(), mesh, mesh_sync));
-    combos
+        // XY-routed data chunks must conserve exactly like the flat
+        // fabrics: hops shift timing and add link counters, never
+        // payload.
+        (
+            "mesh",
+            DataFabricConfig::Mesh {
+                cols: 2,
+                rows: 2,
+                interleave_bytes: 64,
+                link_grant: 2,
+                hop_cycles: 1,
+                port,
+            },
+        ),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Every fabric combination conserves credits (the armed credit
-    /// checker panics on any violation), completes the same workload,
-    /// and carries the same number of payload bytes as every other
-    /// combination — the fabric shifts timing, never data. (Sync
-    /// *message counts* legitimately differ across fabrics: how many
-    /// putspace updates coalesce depends on scheduling timing.)
+    /// Every data fabric conserves credits (the armed credit checker
+    /// panics on any violation), completes the same workload, and
+    /// carries the same number of payload bytes as every other fabric —
+    /// the fabric shifts timing, never data. (Sync *message counts*
+    /// legitimately differ across fabrics: how many putspace updates
+    /// coalesce depends on scheduling timing.)
     #[test]
     fn all_fabrics_conserve_credits_and_bytes(
         pipelines in 1usize..=3,
@@ -229,9 +184,9 @@ proptest! {
         let packet_bytes = 1u32 << packet_pow;
         let cfg = EclipseConfig::default();
         let mut reference: Option<u64> = None;
-        for (label, data, sync) in fabric_combos(&cfg) {
+        for (label, data) in fabric_combos(&cfg) {
             let (summary, bytes) = run_combo(
-                pipelines, buffer, packets, packet_bytes, data, sync,
+                pipelines, buffer, packets, packet_bytes, data,
             );
             prop_assert_eq!(
                 summary.outcome, RunOutcome::AllFinished,
