@@ -15,14 +15,17 @@
 //! match the uninterrupted run exactly. The deterministic evidence is
 //! written to `results/` so CI can run the binary twice and diff the two
 //! reports — byte-identical output across independent processes.
-//! Fork-from-checkpoint wall-clock vs re-simulating the prefix is
-//! printed to stdout only (it is host-dependent).
+//! The full run also records the final state hash of the private-port
+//! open-gate system that `timing_fingerprint` times. Fork-from-checkpoint
+//! wall-clock vs re-simulating the prefix is printed to stdout only (it
+//! is host-dependent).
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin snapshot_smoke [--quick]`
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use eclipse_bench::synthetic::open_gate_system;
 use eclipse_bench::{save_result, StreamSpec};
 use eclipse_coprocs::instance::{build_decode_system, DecodeSystem};
 use eclipse_core::{EclipseConfig, RunOutcome};
@@ -150,6 +153,19 @@ fn main() {
     }
     report.push_str(&ref_digest);
     report.push_str("fork retraces reference: yes\n");
+    if !quick {
+        // The final state hash of `timing_fingerprint`'s open-gate point
+        // pins the private-port fabric's checkpointed state.
+        let mut gate = open_gate_system(2_000, 60);
+        let s = gate.run(1_000_000_000);
+        assert_eq!(s.outcome, RunOutcome::AllFinished, "open-gate run");
+        writeln!(
+            report,
+            "open_gate/private-port-2apps state hash {:#018x}",
+            gate.state_hash()
+        )
+        .unwrap();
+    }
     print!("{report}");
     save_result(
         if quick {

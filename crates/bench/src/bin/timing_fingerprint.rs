@@ -1,25 +1,32 @@
-//! Simulated-timing fingerprint of the canonical workloads.
+//! Simulated-timing and work fingerprint of the canonical workloads.
 //!
-//! Prints a full digest of every [`RunSummary`] field (plus cache and bus
-//! counters) for the Figure-10 QCIF decode and one design point per sweep
-//! binary. Host-performance work (calendar structure, cache fast paths)
-//! must leave this output **byte-identical** — run it before and after an
-//! optimization and diff `results/timing_fingerprint.txt`.
+//! Prints a full digest of every [`RunSummary`] field plus the exact work
+//! counts the public stats hold (steps, GetTask/GetSpace/PutSpace calls,
+//! cache, fabric-port, DRAM and SRAM traffic) for the Figure-10 QCIF
+//! decode, one design point per sweep binary, perfbench's
+//! `pipeline_sync` shape and the default time-shift transcode.
+//! Host-performance work (calendar structure, cache fast paths) must
+//! leave this output **byte-identical**: a change in simulated work shows
+//! up in the count lines even where every `cycles:` line holds. Run it
+//! before and after an optimization and diff
+//! `results/timing_fingerprint.txt`.
 //!
 //! Usage: `cargo run -p eclipse-bench --release --bin timing_fingerprint`
 
-use eclipse_bench::synthetic::{open_gate_system, PipeCoproc};
-use eclipse_bench::{save_result, StreamSpec};
+use eclipse_bench::synthetic::{
+    open_gate_system, pipeline_sync_system, PipeCoproc, SYNC_PIPES, SYNC_STAGES,
+};
+use eclipse_bench::{save_result, timeshift_transcode, StreamSpec};
 use eclipse_coprocs::apps::{DecodeAppConfig, EncodeAppConfig};
 use eclipse_coprocs::instance::{build_decode_system, InstanceCosts, MpegBuilder};
 use eclipse_core::system::CpuSyncConfig;
-use eclipse_core::{EclipseConfig, RunSummary, SystemBuilder};
+use eclipse_core::{EclipseConfig, EclipseSystem, RunSummary, SystemBuilder};
 use eclipse_kpn::GraphBuilder;
 use eclipse_media::stream::GopConfig;
 use eclipse_shell::CacheConfig;
 use std::fmt::Write as _;
 
-fn digest(out: &mut String, label: &str, s: &RunSummary) {
+fn digest(out: &mut String, label: &str, sys: &EclipseSystem, s: &RunSummary) {
     writeln!(out, "== {label} ==").unwrap();
     writeln!(out, "outcome: {:?}", s.outcome).unwrap();
     writeln!(out, "cycles: {}", s.cycles).unwrap();
@@ -47,6 +54,80 @@ fn digest(out: &mut String, label: &str, s: &RunSummary) {
         s.sync_latency.stat().max()
     )
     .unwrap();
+
+    let shells = sys.shells();
+    let shell_sum = |f: fn(&eclipse_shell::ShellStats) -> u64| {
+        shells.iter().map(|sh| f(&sh.stats)).sum::<u64>()
+    };
+    let tasks = || shells.iter().flat_map(|sh| sh.tasks()).map(|t| &t.stats);
+    let rows = || shells.iter().flat_map(|sh| sh.rows()).map(|r| &r.stats);
+    let caches = || shells.iter().flat_map(|sh| sh.caches()).map(|c| &c.stats);
+    writeln!(
+        out,
+        "tasks: steps={} aborted_steps={} switches_in={}",
+        tasks().map(|t| t.steps).sum::<u64>(),
+        tasks().map(|t| t.aborted_steps).sum::<u64>(),
+        tasks().map(|t| t.switches_in).sum::<u64>()
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "gettask: calls={} runs={}",
+        shell_sum(|st| st.gettask_calls),
+        shell_sum(|st| st.gettask_runs)
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "getspace: calls={} denied={}",
+        rows().map(|r| r.getspace_calls).sum::<u64>(),
+        rows().map(|r| r.getspace_denied).sum::<u64>()
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "putspace: calls={} messages_sent={}",
+        rows().map(|r| r.putspace_calls).sum::<u64>(),
+        shell_sum(|st| st.messages_sent)
+    )
+    .unwrap();
+    writeln!(
+        out,
+        "cache: hits={} misses={} prefetches={} writebacks={} invalidations={} stall_cycles={}",
+        caches().map(|c| c.hits).sum::<u64>(),
+        caches().map(|c| c.misses).sum::<u64>(),
+        caches().map(|c| c.prefetches).sum::<u64>(),
+        caches().map(|c| c.writebacks).sum::<u64>(),
+        caches().map(|c| c.invalidations).sum::<u64>(),
+        caches().map(|c| c.stall_cycles).sum::<u64>()
+    )
+    .unwrap();
+    for port in sys.data_fabric().ports() {
+        writeln!(
+            out,
+            "bus/{}: txn={} bytes={} busy={} wait_sum={:.3}",
+            port.name,
+            port.stats.transactions,
+            port.stats.bytes,
+            port.stats.busy_cycles,
+            port.stats.wait.sum()
+        )
+        .unwrap();
+    }
+    let dram = sys.dram().stats();
+    writeln!(
+        out,
+        "dram: txn={} bytes={} row_hits={} row_misses={}",
+        dram.transactions, dram.bytes, dram.row_hits, dram.row_misses
+    )
+    .unwrap();
+    let sram = sys.mem().sram.stats();
+    writeln!(
+        out,
+        "sram: bytes_read={} bytes_written={}",
+        sram.bytes_read, sram.bytes_written
+    )
+    .unwrap();
 }
 
 fn main() {
@@ -58,36 +139,7 @@ fn main() {
     {
         let mut dec = build_decode_system(EclipseConfig::default(), bitstream.clone());
         let s = dec.system.sys.run(20_000_000_000);
-        digest(&mut out, "qcif_decode/default", &s);
-        let (mut hits, mut misses, mut pf, mut wb, mut inv, mut stall) = (0, 0, 0, 0, 0, 0u64);
-        for shell in dec.system.sys.shells() {
-            for c in shell.caches() {
-                hits += c.stats.hits;
-                misses += c.stats.misses;
-                pf += c.stats.prefetches;
-                wb += c.stats.writebacks;
-                inv += c.stats.invalidations;
-                stall += c.stats.stall_cycles;
-            }
-        }
-        writeln!(
-            out,
-            "cache: hits={hits} misses={misses} prefetches={pf} writebacks={wb} \
-             invalidations={inv} stall_cycles={stall}"
-        )
-        .unwrap();
-        for port in dec.system.sys.data_fabric().ports() {
-            writeln!(
-                out,
-                "bus/{}: txn={} bytes={} busy={} wait_sum={:.3}",
-                port.name,
-                port.stats.transactions,
-                port.stats.bytes,
-                port.stats.busy_cycles,
-                port.stats.wait.sum()
-            )
-            .unwrap();
-        }
+        digest(&mut out, "qcif_decode/default", &dec.system.sys, &s);
     }
 
     // sweep_cache point: 512 B + prefetch.
@@ -95,7 +147,7 @@ fn main() {
         let cfg = EclipseConfig::default().with_cache(CacheConfig::with_lines(8, true));
         let mut dec = build_decode_system(cfg, bitstream.clone());
         let s = dec.system.sys.run(20_000_000_000);
-        digest(&mut out, "sweep_cache/512B+prefetch", &s);
+        digest(&mut out, "sweep_cache/512B+prefetch", &dec.system.sys, &s);
     }
 
     // sweep_bus point: 64-bit bus.
@@ -103,7 +155,7 @@ fn main() {
         let cfg = EclipseConfig::default().with_bus_width(8);
         let mut dec = build_decode_system(cfg, bitstream.clone());
         let s = dec.system.sys.run(20_000_000_000);
-        digest(&mut out, "sweep_bus/width8", &s);
+        digest(&mut out, "sweep_bus/width8", &dec.system.sys, &s);
     }
 
     // sweep_coupling point: 0.7x buffers.
@@ -117,7 +169,7 @@ fn main() {
         b.add_decode("dec0", bitstream.clone(), bufs);
         let mut sys = b.build();
         let s = sys.sys.run(50_000_000_000);
-        digest(&mut out, "sweep_coupling/0.7x", &s);
+        digest(&mut out, "sweep_coupling/0.7x", &sys.sys, &s);
     }
 
     // sweep_scalability point: 4 pipelines, distributed and CPU-centric.
@@ -153,7 +205,7 @@ fn main() {
         b.map_app(&graph).unwrap();
         let mut sys = b.build();
         let s = sys.run(1_000_000_000);
-        digest(&mut out, label, &s);
+        digest(&mut out, label, &sys, &s);
     }
 
     // sweep_scheduler point: best-guess policy, budget 2000, encode+decode.
@@ -184,16 +236,57 @@ fn main() {
         );
         let mut sys = b.build();
         let s = sys.sys.run(100_000_000_000);
-        digest(&mut out, "sweep_scheduler/bestguess-2000", &s);
+        digest(&mut out, "sweep_scheduler/bestguess-2000", &sys.sys, &s);
     }
 
     // Open-gate point: two independent apps on the private-port crossbar,
-    // pinning that fabric's timing and the final state hash.
+    // pinning that fabric's timing. Its final state hash is snapshot
+    // evidence and lives in `results/snapshot_smoke.txt`.
     {
         let mut sys = open_gate_system(2_000, 60);
         let s = sys.run(1_000_000_000);
-        digest(&mut out, "open_gate/private-port-2apps", &s);
-        writeln!(out, "state_hash: {:#018x}", sys.state_hash()).unwrap();
+        digest(&mut out, "open_gate/private-port-2apps", &sys, &s);
+    }
+
+    // perfbench's `pipeline_sync` shape at its default seed, checked
+    // against the graph's closed-form work: every task completes one step
+    // per packet, every packet crossing a stream costs one putspace from
+    // its producer and one from its consumer, and the run ends when the
+    // last task finishes, which may leave each chain's final credit
+    // undelivered.
+    {
+        const PACKETS: u64 = 10_000;
+        let mut sys = pipeline_sync_system(PACKETS as u32);
+        let s = sys.run(1_000_000_000);
+        digest(&mut out, "pipeline_sync/2x6-shared-stages", &sys, &s);
+        let (pipes, stages) = (SYNC_PIPES as u64, SYNC_STAGES as u64);
+        let steps: u64 = sys
+            .shells()
+            .iter()
+            .flat_map(|sh| sh.tasks())
+            .map(|t| t.stats.steps)
+            .sum();
+        let sent: u64 = sys.shells().iter().map(|sh| sh.stats.messages_sent).sum();
+        assert_eq!(steps, pipes * stages * PACKETS, "pipeline steps");
+        assert_eq!(
+            sent,
+            pipes * (stages - 1) * 2 * PACKETS,
+            "putspace messages"
+        );
+        assert!(
+            s.sync_messages <= sent && sent - s.sync_messages <= pipes,
+            "{} of {sent} putspace messages delivered",
+            s.sync_messages
+        );
+    }
+
+    // The section-1 time-shift transcode (perfbench's `transcode_qcif`
+    // at its default seed): decode plus a concurrent encode on the same
+    // coprocessors, default configuration.
+    {
+        let mut sys = timeshift_transcode(15);
+        let s = sys.sys.run(50_000_000_000);
+        digest(&mut out, "transcode/timeshift-default", &sys.sys, &s);
     }
 
     print!("{out}");

@@ -27,6 +27,9 @@ pub mod synthetic;
 
 pub use sweep::{par_sweep, sweep_threads, threads_flag, trace_annotation, trace_flag};
 
+use eclipse_coprocs::apps::{DecodeAppConfig, EncodeAppConfig};
+use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder, MpegSystem};
+use eclipse_core::EclipseConfig;
 use eclipse_media::encoder::{EncodeStats, Encoder, EncoderConfig};
 use eclipse_media::source::{SourceConfig, SyntheticSource};
 use eclipse_media::stream::GopConfig;
@@ -107,6 +110,36 @@ impl StreamSpec {
     pub fn mbs_per_frame(&self) -> u32 {
         (self.width as u32 / 16) * (self.height as u32 / 16)
     }
+}
+
+/// The §1 time-shift transcode in the default configuration: the first
+/// `frames` frames of the QCIF stream decoded as app `watch` while as
+/// many camera frames are encoded as app `record` (GOP 12/3, qscale 6,
+/// search range 8) on the same coprocessors. At 15 frames this is
+/// perfbench's `transcode_qcif` at its default seed; `timing_fingerprint`
+/// pins it and `step_allocations` runs it.
+pub fn timeshift_transcode(frames: u16) -> MpegSystem {
+    let live = StreamSpec {
+        frames,
+        ..StreamSpec::qcif()
+    };
+    let camera = StreamSpec {
+        complexity: 0.4,
+        motion: 1.5,
+        seed: live.seed ^ 0x5EED_CA3E_4A00_0000,
+        ..live
+    };
+    let mut b = MpegBuilder::new(EclipseConfig::default(), InstanceCosts::default());
+    b.add_decode("watch", live.encode().0, DecodeAppConfig::default());
+    b.add_encode(
+        "record",
+        camera.source_frames(),
+        GopConfig { n: 12, m: 3 },
+        6,
+        8,
+        EncodeAppConfig::default(),
+    );
+    b.build()
 }
 
 /// Render a markdown-ish table: header row + separator + rows.

@@ -1,75 +1,39 @@
-//! Minimal wall-clock micro-benchmark harness.
+//! Minimal wall-clock micro-benchmark harness for the `kernels` bench.
 //!
 //! The build environment has no crates.io access, so the `[[bench]]`
-//! targets cannot use Criterion; this module provides the small slice of
-//! it they need: time-calibrated iteration counts, a warm-up pass, and a
-//! readable one-line report. Statistical rigor (outlier rejection,
-//! regression detection) is explicitly out of scope — these numbers keep
-//! the *host speed* of the simulator honest, nothing more.
+//! target is a plain `harness = false` binary; this module provides the
+//! small slice of a harness it needs: a time-calibrated iteration count,
+//! a warm-up pass, and a readable one-line report. Statistical rigor is
+//! out of scope; perfbench makes every host-speed claim.
 
 use std::time::{Duration, Instant};
 
-/// Result of one measured benchmark.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Benchmark label.
-    pub name: String,
-    /// Iterations measured (after calibration).
-    pub iters: u64,
-    /// Total measured wall time.
-    pub total: Duration,
-}
-
-impl BenchResult {
-    /// Mean nanoseconds per iteration.
-    pub fn ns_per_iter(&self) -> f64 {
-        self.total.as_nanos() as f64 / self.iters as f64
-    }
-
-    /// One-line human-readable summary.
-    pub fn report(&self) -> String {
-        let ns = self.ns_per_iter();
-        let (value, unit) = if ns >= 1e9 {
-            (ns / 1e9, "s")
-        } else if ns >= 1e6 {
-            (ns / 1e6, "ms")
-        } else if ns >= 1e3 {
-            (ns / 1e3, "µs")
-        } else {
-            (ns, "ns")
-        };
-        format!(
-            "{:<40} {:>10.2} {}/iter  ({} iters)",
-            self.name, value, unit, self.iters
-        )
-    }
-}
+/// Measurement budget of one benchmark.
+const BUDGET: Duration = Duration::from_millis(200);
 
 /// Measure `f`, calibrating the iteration count so the measured run takes
-/// roughly `budget`. Prints the report line and returns the result.
-pub fn bench_with_budget<T>(name: &str, budget: Duration, mut f: impl FnMut() -> T) -> BenchResult {
+/// roughly 200 ms, and print the mean time per iteration.
+pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
     // Warm-up + calibration: run once, then scale the iteration count to
     // fill the budget (clamped to a sane range).
     let t0 = Instant::now();
     std::hint::black_box(f());
     let once = t0.elapsed().max(Duration::from_nanos(50));
-    let iters = (budget.as_nanos() / once.as_nanos()).clamp(3, 1_000_000) as u64;
+    let iters = (BUDGET.as_nanos() / once.as_nanos()).clamp(3, 1_000_000) as u64;
 
     let start = Instant::now();
     for _ in 0..iters {
         std::hint::black_box(f());
     }
-    let total = start.elapsed();
-    let result = BenchResult {
-        name: name.to_string(),
-        iters,
-        total,
+    let ns = start.elapsed().as_nanos() as f64 / iters as f64;
+    let (value, unit) = if ns >= 1e9 {
+        (ns / 1e9, "s")
+    } else if ns >= 1e6 {
+        (ns / 1e6, "ms")
+    } else if ns >= 1e3 {
+        (ns / 1e3, "µs")
+    } else {
+        (ns, "ns")
     };
-    println!("{}", result.report());
-    result
-}
-
-/// [`bench_with_budget`] with the default 200 ms budget.
-pub fn bench<T>(name: &str, f: impl FnMut() -> T) -> BenchResult {
-    bench_with_budget(name, Duration::from_millis(200), f)
+    println!("{name:<40} {value:>10.2} {unit}/iter  ({iters} iters)");
 }

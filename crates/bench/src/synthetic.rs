@@ -184,6 +184,63 @@ impl Coprocessor for PipeCoproc {
     }
 }
 
+/// Independent chains in the `pipeline_sync` shape.
+pub const SYNC_PIPES: usize = 2;
+/// Stages per `pipeline_sync` chain.
+pub const SYNC_STAGES: usize = 6;
+/// Per-stage compute cycles of the `pipeline_sync` shape: one slow
+/// filter stage, the rest fast, so the stages around the bottleneck keep
+/// running into idle wake-ups as well as completed steps. These are
+/// perfbench's draws for its default seed (0xEC11).
+const SYNC_COMPUTE: [u64; SYNC_STAGES] = [13, 60, 10, 16, 10, 12];
+
+/// The `pipeline_sync` shape: [`SYNC_PIPES`] independent chains of
+/// [`SYNC_STAGES`] stages, each task moving `packets` packets of 32 bytes
+/// through 128-byte streams. Stage `i` of every chain runs on one shared
+/// `stage{i}` worker, so each worker multi-tasks [`SYNC_PIPES`] tasks.
+/// At 10 000 packets this is perfbench's `pipeline_sync` at its default
+/// seed; `timing_fingerprint` pins it and `step_allocations` runs it.
+pub fn pipeline_sync_system(packets: u32) -> eclipse_core::EclipseSystem {
+    use eclipse_core::{EclipseConfig, SystemBuilder};
+    use eclipse_kpn::GraphBuilder;
+
+    let mut b = SystemBuilder::new(EclipseConfig::default());
+    for (i, &c) in SYNC_COMPUTE.iter().enumerate() {
+        let kind = match i {
+            0 => "source",
+            i if i == SYNC_STAGES - 1 => "sink",
+            _ => "filter",
+        };
+        let stage = format!("stage{i}");
+        b.add_coprocessor(Box::new(PipeCoproc::worker(
+            stage.clone(),
+            stage,
+            packets,
+            32,
+            c,
+            kind,
+        )));
+    }
+    for p in 0..SYNC_PIPES {
+        let mut g = GraphBuilder::new(format!("pipe{p}"));
+        let streams: Vec<_> = (0..SYNC_STAGES - 1)
+            .map(|s| g.stream(format!("p{p}s{s}"), 128))
+            .collect();
+        for i in 0..SYNC_STAGES {
+            let ins: Vec<_> = streams
+                .get(i.wrapping_sub(1))
+                .into_iter()
+                .copied()
+                .collect();
+            let outs: Vec<_> = streams.get(i).into_iter().copied().collect();
+            g.task(format!("p{p}t{i}"), format!("stage{i}"), 0, &ins, &outs);
+        }
+        b.map_app(&g.build().expect("pipeline graph is valid"))
+            .expect("pipeline maps");
+    }
+    b.build()
+}
+
 /// A two-app synthetic pipeline on the private-port crossbar (DESIGN.md
 /// §16): two fully independent pipes (disjoint streams, dedicated
 /// coprocessors, no system-bus traffic). `timing_fingerprint` pins its

@@ -16,13 +16,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use eclipse_bench::synthetic::PipeCoproc;
-use eclipse_bench::StreamSpec;
-use eclipse_coprocs::apps::{DecodeAppConfig, EncodeAppConfig};
-use eclipse_coprocs::instance::{InstanceCosts, MpegBuilder};
-use eclipse_core::{EclipseConfig, EclipseSystem, RunOutcome, SystemBuilder};
-use eclipse_kpn::GraphBuilder;
-use eclipse_media::stream::GopConfig;
+use eclipse_bench::synthetic::{pipeline_sync_system, SYNC_PIPES, SYNC_STAGES};
+use eclipse_bench::{timeshift_transcode, StreamSpec};
+use eclipse_coprocs::instance::build_decode_system;
+use eclipse_core::{EclipseConfig, EclipseSystem, RunOutcome};
 
 /// Counts heap allocations (fresh and reallocations) made by the
 /// current thread, so the test harness's own threads do not interfere.
@@ -63,52 +60,6 @@ static GLOBAL: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCS.with(Cell::get)
-}
-
-const PIPES: usize = 2;
-const STAGES: usize = 6;
-const PACKET_BYTES: u32 = 32;
-const STREAM_BYTES: u32 = 128;
-/// Per-stage compute cycles: one slow filter stage, the rest fast, so
-/// the stages around the bottleneck keep running into denied GetSpace
-/// calls and idle wake-ups as well as completed steps.
-const COMPUTE: [u64; STAGES] = [11, 17, 60, 9, 14, 12];
-
-/// Stage `i` of every pipe runs on the shared `stage{i}` worker.
-fn build(packets: u32) -> EclipseSystem {
-    let mut b = SystemBuilder::new(EclipseConfig::default());
-    for (i, &c) in COMPUTE.iter().enumerate() {
-        let kind = match i {
-            0 => "source",
-            i if i == STAGES - 1 => "sink",
-            _ => "filter",
-        };
-        b.add_coprocessor(Box::new(PipeCoproc::worker(
-            format!("stage{i}"),
-            format!("stage{i}"),
-            packets,
-            PACKET_BYTES,
-            c,
-            kind,
-        )));
-    }
-    for p in 0..PIPES {
-        let mut g = GraphBuilder::new(format!("pipe{p}"));
-        let streams: Vec<_> = (0..STAGES - 1)
-            .map(|s| g.stream(format!("p{p}s{s}"), STREAM_BYTES))
-            .collect();
-        for i in 0..STAGES {
-            let ins: Vec<_> = streams
-                .get(i.wrapping_sub(1))
-                .into_iter()
-                .copied()
-                .collect();
-            let outs: Vec<_> = streams.get(i).into_iter().copied().collect();
-            g.task(format!("p{p}t{i}"), format!("stage{i}"), 0, &ins, &outs);
-        }
-        b.map_app(&g.build().unwrap()).unwrap();
-    }
-    b.build()
 }
 
 /// `(steps executed, allocations made by the run)` of a built system.
@@ -153,9 +104,9 @@ fn step_path_allocates_less_than_once_per_100_steps() {
     // Every task completes one step per packet: 3N more per task.
     assert_budget(
         "pipeline",
-        run(build(N)),
-        run(build(4 * N)),
-        3 * N as u64 * (PIPES * STAGES) as u64,
+        run(pipeline_sync_system(N)),
+        run(pipeline_sync_system(4 * N)),
+        3 * N as u64 * (SYNC_PIPES * SYNC_STAGES) as u64,
     );
 }
 
@@ -171,30 +122,9 @@ fn qcif(frames: u16) -> StreamSpec {
 }
 
 fn decode(frames: u16) -> EclipseSystem {
-    let (bits, _) = qcif(frames).encode();
-    let mut b = MpegBuilder::new(EclipseConfig::default(), InstanceCosts::default());
-    b.add_decode("dec", bits, DecodeAppConfig::default());
-    b.build().sys
-}
-
-fn transcode(frames: u16) -> EclipseSystem {
-    let spec = qcif(frames);
-    let (bits, _) = spec.encode();
-    let mut b = MpegBuilder::new(EclipseConfig::default(), InstanceCosts::default());
-    b.add_decode("watch", bits, DecodeAppConfig::default());
-    b.add_encode(
-        "record",
-        StreamSpec {
-            seed: 0x5EED,
-            ..spec
-        }
-        .source_frames(),
-        GopConfig { n: 12, m: 3 },
-        8,
-        8,
-        EncodeAppConfig::default(),
-    );
-    b.build().sys
+    build_decode_system(EclipseConfig::default(), qcif(frames).encode().0)
+        .system
+        .sys
 }
 
 #[test]
@@ -216,8 +146,8 @@ fn mpeg_transcode_step_path_allocates_less_than_once_per_100_steps() {
     let extra_mbs = 3 * FRAMES as u64 * qcif(FRAMES).mbs_per_frame() as u64;
     assert_budget(
         "transcode",
-        run(transcode(FRAMES)),
-        run(transcode(4 * FRAMES)),
+        run(timeshift_transcode(FRAMES).sys),
+        run(timeshift_transcode(4 * FRAMES).sys),
         2 * extra_mbs,
     );
 }

@@ -23,8 +23,8 @@
 //!   transport granularity, exactly as the paper's Section 2.2 prescribes.
 //! * [`runtime`] — a multi-threaded host executor that runs every task of
 //!   a graph on its own OS thread. This is the "all tasks in software"
-//!   reference point: it demonstrates the programming model at host speed
-//!   and underpins the granularity-of-parallelism experiment (E12).
+//!   reference point: it demonstrates the programming model at host
+//!   speed.
 //! * [`process`] — the [`process::Process`] trait plus reusable
 //!   source/map/sink combinators.
 //!

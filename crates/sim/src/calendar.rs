@@ -15,8 +15,7 @@
 //! * [`BaselineCalendar`] — the original pure `BinaryHeap` implementation,
 //!   kept as the executable specification. The differential tests in
 //!   `tests/calendar_equivalence.rs` drive both with identical schedule
-//!   sequences and assert identical pop order, and `perf_report` times one
-//!   against the other.
+//!   sequences and assert identical pop order.
 //!
 //! # Event keys
 //!
@@ -417,8 +416,8 @@ impl<E> Default for Calendar<E> {
 
 /// The original `BinaryHeap`-only calendar, kept as the executable
 /// specification of the `(time, key, seq)` ordering contract. Same API as
-/// [`Calendar`]; used by the differential/property tests and by
-/// `perf_report`'s calendar microbenchmark as the comparison baseline.
+/// [`Calendar`]; the differential/property tests check the production
+/// calendar against it.
 pub struct BaselineCalendar<E> {
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
